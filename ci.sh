@@ -95,6 +95,14 @@ echo "==> cargo test (chaos suite)"
 # plans are seeded, so the fault schedules are identical on every run.
 cargo test -q -p coursenav-server --features chaos --test chaos
 
+echo "==> perfbench tests (loopback benchmark plans + smoke run against the replay)"
+# The benchmark's in-process replay calls the server's public layer
+# functions (registry, singleflight, session, http writers, ServerConfig)
+# and its smoke run checks every loopback answer of every workload
+# against that replay, so a serving-layer change that breaks either side
+# fails here. perfbench is its own cargo workspace.
+cargo test --release --manifest-path perfbench/Cargo.toml
+
 echo "==> cargo clippy"
 cargo clippy --workspace --all-targets -- -D warnings
 cargo clippy -p coursenav-server --features chaos --all-targets -- -D warnings

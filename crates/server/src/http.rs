@@ -401,27 +401,40 @@ impl Response {
         message: &str,
         retryable: bool,
     ) -> Response {
-        let mut fields = vec![("code".to_string(), serde_json::Value::Str(code.to_string()))];
-        if let Some(field) = field {
-            fields.push((
-                "field".to_string(),
-                serde_json::Value::Str(field.to_string()),
-            ));
-        }
-        fields.push((
-            "message".to_string(),
-            serde_json::Value::Str(message.to_string()),
-        ));
-        fields.push(("retryable".to_string(), serde_json::Value::Bool(retryable)));
         let body = serde_json::to_string(&serde_json::Value::Object(vec![(
             "error".to_string(),
-            serde_json::Value::Object(fields),
+            error_object(code, field, message, retryable),
         )]))
         .unwrap_or_else(|_| {
             "{\"error\":{\"code\":\"internal\",\"message\":\"\",\"retryable\":false}}".to_string()
         });
         Response::json(status, body)
     }
+}
+
+/// The inner object of every typed error:
+/// `{"code":...,"field":...,"message":...,"retryable":...}`, `field` only
+/// when given. Buffered error bodies wrap it as `{"error":<object>}`;
+/// NDJSON routes carry it on their error lines.
+pub fn error_object(
+    code: &str,
+    field: Option<&str>,
+    message: &str,
+    retryable: bool,
+) -> serde_json::Value {
+    let mut fields = vec![("code".to_string(), serde_json::Value::Str(code.to_string()))];
+    if let Some(field) = field {
+        fields.push((
+            "field".to_string(),
+            serde_json::Value::Str(field.to_string()),
+        ));
+    }
+    fields.push((
+        "message".to_string(),
+        serde_json::Value::Str(message.to_string()),
+    ));
+    fields.push(("retryable".to_string(), serde_json::Value::Bool(retryable)));
+    serde_json::Value::Object(fields)
 }
 
 /// Writes `response` to `stream` with `Content-Length` framing and the

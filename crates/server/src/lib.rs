@@ -5,125 +5,70 @@
 //! exploration engine; this crate is the boundary between them. Design
 //! goals, in order:
 //!
-//! 1. **Interactivity.** Every `POST /explore` runs under a wall-clock
-//!    deadline threaded into the engine's `ControlFlow` machinery
-//!    ([`NavigatorService::run_until`]); a slow exploration returns a
-//!    partial answer marked `truncated` instead of holding the connection.
+//! 1. **Interactivity.** Every engine request (`POST /v1/explore`,
+//!    `/v1/advise`, `/v1/whatif`) runs under a wall-clock deadline threaded
+//!    into the engine's `ControlFlow` machinery; a slow exploration returns
+//!    a partial answer marked `truncated` instead of holding the connection.
 //! 2. **Effective caching.** Responses are cached under the request's
-//!    *canonical* form ([`ExplorationRequest::cache_key`]) — reordered
-//!    course lists and rescaled ranking weights hit the same entry. Only
-//!    complete (non-truncated) answers are cached. One level deeper, the
-//!    [`memo`] registry keeps the engine's transposition tables alive
-//!    *across* requests: explorations that differ only in output mode,
-//!    ranking, budget, or paging share memoized subtrees
-//!    ([`ExplorationRequest::memo_key`]).
+//!    *canonical* form (`ExplorationRequest::cache_key`) — reordered course
+//!    lists and rescaled ranking weights hit the same entry. Only complete
+//!    answers are cached. One level deeper, the [`memo`] registry keeps the
+//!    engine's transposition tables alive *across* requests that differ
+//!    only in output mode, ranking, budget, or paging.
 //! 3. **Bounded everything.** Fixed worker pool, bounded hand-off queue
 //!    with 503 load-shedding, capped request bodies, byte-budgeted cache.
 //! 4. **One engine run per answer.** Concurrent duplicates of a cold
-//!    request coalesce onto a single computation ([`singleflight`]); the
-//!    engine itself can fan first-level subtrees across cores
-//!    (`parallelism`) without changing a byte of the answer.
+//!    request coalesce onto a single computation ([`singleflight`]) on
+//!    every engine route; the engine itself can fan first-level subtrees
+//!    across cores (`parallelism`) without changing a byte of the answer.
+//!
+//! **One request pipeline.** The private `routes` module holds the router
+//! and two drivers. A single buffered driver, generic over a small
+//! `Workload` trait that explore, advise and what-if implement, owns
+//! admission and the breaker, typed 400s, tenant resolution, the cache,
+//! singleflight, the deadline and the `x-cache`/`x-degraded` headers; a
+//! single NDJSON driver does the same for `/v1/explore/stream` and
+//! `/v1/advise/batch`. This file keeps the [`Server`] lifecycle and the
+//! metrics and durable snapshots.
 //!
 //! The complete wire-API reference — every `/v1` route, request/response
 //! shapes, typed error codes, and the deprecation policy for the
-//! unprefixed aliases — lives in `docs/WIRE_API.md` at the repository
-//! root; the golden wire-contract suite
-//! (`crates/server/tests/wire_contract.rs`) pins that document route by
-//! route. Headlines: `POST /v1/explore` (+ `/stream` NDJSON) serves
-//! catalog-global explorations, `POST /v1/advise` (+ `/batch` NDJSON)
-//! serves transcript-conditioned advising, and the `GET` surface covers
-//! catalog, health, metrics, and tenant administration. Unprefixed
-//! spellings answer `308` redirects carrying `Deprecation`/`Sunset`
-//! headers until removal.
+//! unprefixed aliases (`308` redirects carrying `Deprecation`/`Sunset`
+//! headers) — lives in `docs/WIRE_API.md` at the repository root; the
+//! golden wire-contract suite (`crates/server/tests/wire_contract.rs`)
+//! pins that document route by route.
 //!
 //! **Durability.** With a snapshot directory configured
 //! ([`ServerConfig::snapshot_dir`]), a background thread periodically
 //! writes every tenant's warm state — transposition tables and resumable
 //! sessions — to an atomic, checksummed snapshot file ([`snapshot`]);
-//! [`Server::warm_from`] loads one at startup so a restarted replica
-//! answers its first queries from memo instead of re-exploring. Restored
-//! state is behaviorally invisible: answers are byte-identical to a cold
-//! recompute, and a snapshot that fails validation (or mismatches the
-//! serving catalog) is rejected whole — the server starts cold, never
-//! half-loaded.
+//! [`Server::warm_from`] loads one at startup. Restored state is
+//! behaviorally invisible, and a snapshot that fails validation (or
+//! mismatches the serving catalog) is rejected whole.
 //!
-//! **Multi-tenancy.** The server holds named catalogs in a
-//! [`registry::CatalogRegistry`]; each tenant serves at a monotonic epoch
-//! and owns its own response cache and memo tables, so swapping one
-//! tenant's catalog never cools another's. Requests pick their tenant via
-//! the request's `tenant` field or the `x-tenant` header; both absent
-//! resolves [`registry::DEFAULT_TENANT`], which preserves single-catalog
-//! behaviour byte for byte. Session tokens and singleflight keys carry
-//! the `tenant@epoch` scope, so a cursor minted before a swap answers the
-//! usual 410 `cursor-expired` after it.
+//! **Multi-tenancy.** Each tenant of the [`registry::CatalogRegistry`]
+//! serves at a monotonic epoch and owns its own response cache and memo
+//! tables, so swapping one tenant's catalog never cools another's. The
+//! request's `tenant` field or the `x-tenant` header picks the tenant;
+//! neither resolves [`registry::DEFAULT_TENANT`]. Session tokens and
+//! singleflight keys carry the `tenant@epoch` scope.
 //!
-//! Paged explorations are *resumable sessions*: a truncated page carries
-//! `next_cursor`, an opaque signed token the [`session`] store resolves
-//! back to the engine's serialized DFS frontier. Resuming continues the
-//! exploration exactly where it paused — concatenated pages are
-//! byte-identical to one unpaged run. Paged requests bypass the response
-//! cache and singleflight (each page is single-use by construction).
+//! **Resumable sessions.** A truncated page carries `next_cursor`, an
+//! opaque signed token the [`session`] store resolves back to the engine's
+//! serialized DFS frontier; concatenated pages are byte-identical to one
+//! unpaged run. Pages bypass the response cache and singleflight.
 //!
-//! No async runtime, no HTTP framework: `std::net` sockets, raw `epoll`
-//! (see [`sys`]), a crossbeam channel, and parking_lot locks.
+//! **Threading model.** No async runtime, no HTTP framework. One
+//! event-loop thread owns every connection: nonblocking accept, raw
+//! `epoll` readiness ([`sys`]), incremental parsing through a
+//! per-connection state machine ([`conn`]), and writes as each socket
+//! drains. The worker pool ([`pool`]) does *compute only*, so an idle
+//! keep-alive connection costs a slab slot, not a parked thread. All
+//! idle/408/write-stall deadlines live in one timer wheel ([`timer`]).
 //!
-//! **Threading model (PR 9).** One event-loop thread owns every
-//! connection: nonblocking accept, epoll readiness, incremental parsing
-//! through a per-connection staged state machine ([`conn`]), and
-//! response/stream writes as each socket drains. The worker pool
-//! ([`pool`]) does *compute only* — one job per dispatched request —
-//! so an idle keep-alive connection costs a slab slot and its buffers,
-//! not a parked thread, and the concurrency ceiling is the fd limit
-//! rather than the thread count. All idle/408/write-stall deadlines
-//! live in one timer wheel ([`timer`]) inside the loop. See [`http`]
-//! for the wire protocol, [`cache`] for the LRU.
+//! [`NavigatorService`]: coursenav_navigator::NavigatorService
 
 #![warn(missing_docs)]
-
-pub mod cache;
-pub mod conn;
-mod event;
-pub mod faults;
-pub mod http;
-pub mod memo;
-pub mod metrics;
-pub mod overload;
-pub mod pool;
-pub mod registry;
-pub mod session;
-pub mod singleflight;
-pub mod snapshot;
-pub mod sys;
-pub mod timer;
-
-use std::io::Write;
-use std::net::{SocketAddr, TcpListener};
-use std::panic::AssertUnwindSafe;
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-use std::time::{Duration, Instant};
-
-use std::ops::ControlFlow;
-
-use coursenav_navigator::{
-    AdviseRequest, BatchAdviseRequest, ExplorationCursor, ExplorationRequest, ExploreError,
-    NavigatorService, ServiceError, StreamedItem, TranscriptSpec, WhatIfRequest, WhatIfServed,
-};
-use coursenav_registrar::{json::catalog_to_json, parse_registrar_file, RegistrarData};
-use coursenav_transcript::{Transcript, TranscriptError};
-
-use http::{Request, Response};
-pub use memo::MemoRegistrySnapshot;
-use metrics::Metrics;
-pub use metrics::MetricsSnapshot;
-use overload::{Admission, Overload};
-pub use overload::{OverloadConfig, OverloadSnapshot};
-use registry::{CatalogRegistry, RegistryError, Tenant, DEFAULT_TENANT};
-pub use registry::{DagStoreSnapshot, Registered, TenantInfo, TenantSnapshot};
-use session::{SessionError, SessionStore};
-use singleflight::{Published, Role, Singleflight};
-pub use snapshot::{RestoreError, RestoreReport, SnapshotStats};
 
 /// Runs `$action` when the armed fault plan fires at `$site` — compiled
 /// out entirely (no branch, no plan lookup) without the `chaos` feature.
@@ -137,6 +82,43 @@ macro_rules! chaos {
 macro_rules! chaos {
     ($state:expr, $site:expr, $action:block) => {};
 }
+
+pub mod cache;
+pub mod conn;
+mod event;
+pub mod faults;
+pub mod http;
+pub mod memo;
+pub mod metrics;
+pub mod overload;
+pub mod pool;
+pub mod registry;
+mod routes;
+pub mod session;
+pub mod singleflight;
+pub mod snapshot;
+pub mod sys;
+pub mod timer;
+
+use std::net::{SocketAddr, TcpListener};
+use std::path::{Path, PathBuf};
+use std::sync::atomic::Ordering;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
+
+use coursenav_registrar::RegistrarData;
+
+pub use memo::MemoRegistrySnapshot;
+pub use metrics::MetricsSnapshot;
+use metrics::{bump, Metrics};
+use overload::Overload;
+pub use overload::{OverloadConfig, OverloadSnapshot};
+use registry::{CatalogRegistry, DEFAULT_TENANT};
+pub use registry::{DagStoreSnapshot, Registered, TenantInfo, TenantSnapshot};
+pub use routes::DEPRECATION_SUNSET;
+use session::SessionStore;
+use singleflight::Singleflight;
+pub use snapshot::{RestoreError, RestoreReport, SnapshotStats};
 
 /// Server tuning knobs. `Default` is sized for an interactive deployment.
 #[derive(Debug, Clone)]
@@ -251,51 +233,13 @@ struct AppState {
     faults: Arc<faults::FaultPlan>,
 }
 
-/// Durable-snapshot configuration and counters (the `snapshot` block on
-/// `/v1/metrics`). Counters are independent relaxed atomics, like
-/// [`Metrics`].
+/// Durable-snapshot configuration and the `snapshot` block on
+/// `/v1/metrics`. Its counters change once per write or restore, so one
+/// lock guards them all.
 struct SnapshotState {
     /// Where snapshots land; `None` disables the feature.
     dir: Option<PathBuf>,
-    writes: AtomicU64,
-    write_errors: AtomicU64,
-    last_write_bytes: AtomicU64,
-    last_write_ms: AtomicU64,
-    restored_tenants: AtomicU64,
-    rejected_tenants: AtomicU64,
-    restored_entries: AtomicU64,
-    restored_sessions: AtomicU64,
-}
-
-impl SnapshotState {
-    fn new(dir: Option<PathBuf>) -> SnapshotState {
-        SnapshotState {
-            dir,
-            writes: AtomicU64::new(0),
-            write_errors: AtomicU64::new(0),
-            last_write_bytes: AtomicU64::new(0),
-            last_write_ms: AtomicU64::new(0),
-            restored_tenants: AtomicU64::new(0),
-            rejected_tenants: AtomicU64::new(0),
-            restored_entries: AtomicU64::new(0),
-            restored_sessions: AtomicU64::new(0),
-        }
-    }
-
-    fn stats(&self) -> SnapshotStats {
-        let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
-        SnapshotStats {
-            enabled: self.dir.is_some(),
-            writes: load(&self.writes),
-            write_errors: load(&self.write_errors),
-            last_write_bytes: load(&self.last_write_bytes),
-            last_write_ms: load(&self.last_write_ms),
-            restored_tenants: load(&self.restored_tenants),
-            rejected_tenants: load(&self.rejected_tenants),
-            restored_entries: load(&self.restored_entries),
-            restored_sessions: load(&self.restored_sessions),
-        }
-    }
+    stats: parking_lot::Mutex<SnapshotStats>,
 }
 
 /// The background snapshotter thread plus its stop signal.
@@ -344,11 +288,17 @@ impl Server {
                 config.max_tenants,
                 gate,
             ),
-            metrics: Metrics::new(),
+            metrics: Metrics::default(),
             flights: Singleflight::new(),
             sessions: SessionStore::new(config.session_capacity, config.session_ttl),
             overload: Overload::new(config.overload.clone()),
-            snapshots: SnapshotState::new(config.snapshot_dir.clone()),
+            snapshots: SnapshotState {
+                dir: config.snapshot_dir.clone(),
+                stats: parking_lot::Mutex::new(SnapshotStats {
+                    enabled: config.snapshot_dir.is_some(),
+                    ..SnapshotStats::default()
+                }),
+            },
             default_budget_ms: config.default_budget_ms,
             parallelism: config.parallelism.max(1),
             #[cfg(feature = "chaos")]
@@ -360,7 +310,6 @@ impl Server {
         let hooks = {
             let metrics_accept = Arc::clone(&state);
             let metrics_request = Arc::clone(&state);
-            let can_dispatch_state = Arc::clone(&state);
             let shed_state = Arc::clone(&state);
             let status_state = Arc::clone(&state);
             let reset_state = Arc::clone(&state);
@@ -372,34 +321,15 @@ impl Server {
             let submitter = pool.handle();
             let queue_depth = config.queue_depth.max(1) as u64;
             event::Hooks {
-                on_accept: Box::new(move || {
-                    metrics_accept
-                        .metrics
-                        .connections_accepted
-                        .fetch_add(1, Ordering::Relaxed);
-                }),
-                on_request: Box::new(move || {
-                    metrics_request
-                        .metrics
-                        .requests_total
-                        .fetch_add(1, Ordering::Relaxed);
-                }),
-                can_dispatch: Box::new(move || {
-                    can_dispatch_state
-                        .overload
-                        .queue_gauge()
-                        .load(Ordering::Relaxed)
-                        < queue_depth
-                }),
+                on_accept: Box::new(move || bump(&metrics_accept.metrics.connections_accepted)),
+                on_request: Box::new(move || bump(&metrics_request.metrics.requests_total)),
+                can_dispatch: Box::new(move || depth_gauge.load(Ordering::Relaxed) < queue_depth),
                 on_shed: Box::new(move || {
                     // Sheds get their own counter, deliberately *not*
                     // folded into `server_errors`: a shed is load-control
                     // working as designed, and overload dashboards need it
                     // distinguishable from handler failures.
-                    shed_state
-                        .metrics
-                        .connections_shed
-                        .fetch_add(1, Ordering::Relaxed);
+                    bump(&shed_state.metrics.connections_shed);
                     // The advertised retry-after: the breaker's remaining
                     // cooldown when it is open (rounded up), else the
                     // minimum.
@@ -410,25 +340,15 @@ impl Server {
                         .unwrap_or(1)
                         .max(1)
                 }),
-                on_status: Box::new(move |status| {
-                    status_state.metrics.count_status(status);
-                }),
-                on_reset: Box::new(move || {
-                    reset_state
-                        .metrics
-                        .connections_reset
-                        .fetch_add(1, Ordering::Relaxed);
-                }),
+                on_status: Box::new(move |status| status_state.metrics.count_status(status)),
+                on_reset: Box::new(move || bump(&reset_state.metrics.connections_reset)),
                 #[cfg(feature = "chaos")]
                 chaos_tear: Box::new(move || {
                     if tear_state.faults.fires(faults::FaultSite::ResetMidWrite) {
                         // Count before the tear goes on the wire: the
                         // moment the peer sees the torn bytes the counter
                         // must already reflect it.
-                        tear_state
-                            .metrics
-                            .connections_reset
-                            .fetch_add(1, Ordering::Relaxed);
+                        bump(&tear_state.metrics.connections_reset);
                         true
                     } else {
                         false
@@ -445,7 +365,7 @@ impl Server {
                 handle: Box::new(move |request, responder| {
                     let state = Arc::clone(&handle_state);
                     submitter.submit(Box::new(move || {
-                        run_request(&state, request, responder);
+                        routes::run_request(&state, request, responder);
                     }));
                 }),
             }
@@ -592,15 +512,11 @@ impl Server {
         if !sessions.entries.is_empty() {
             report.sessions_restored = self.state.sessions.import(sessions);
         }
-        let s = &self.state.snapshots;
-        s.restored_tenants
-            .fetch_add(report.tenants_restored, Ordering::Relaxed);
-        s.rejected_tenants
-            .fetch_add(report.tenants_rejected, Ordering::Relaxed);
-        s.restored_entries
-            .fetch_add(report.entries_restored, Ordering::Relaxed);
-        s.restored_sessions
-            .fetch_add(report.sessions_restored, Ordering::Relaxed);
+        let mut stats = self.state.snapshots.stats.lock();
+        stats.restored_tenants += report.tenants_restored;
+        stats.rejected_tenants += report.tenants_rejected;
+        stats.restored_entries += report.entries_restored;
+        stats.restored_sessions += report.sessions_restored;
         Ok(report)
     }
 
@@ -630,285 +546,22 @@ impl Server {
     }
 }
 
-/// One dispatched request, on a compute worker: route it and hand the
-/// result back to the event loop through `responder`. Parsing, status
-/// accounting for buffered responses, the `ResetMidWrite` chaos site,
-/// and all connection lifecycle live in the event loop; this function
-/// only computes.
-///
-/// Streaming routes bypass the buffered request→response shape: the
-/// handler writes chunked frames into the responder's stream buffer and
-/// the loop relays them as the socket drains. Always closes when done —
-/// chunked framing is self-delimiting, but a mid-stream abort has no
-/// other way to signal failure. Stream statuses are accounted here (the
-/// handler is the only place that knows them), buffered statuses at
-/// delivery in the loop — both exactly where the thread-per-connection
-/// core counted them.
-fn run_request(state: &Arc<AppState>, request: Request, responder: event::Responder) {
-    let streaming = request.method == "POST"
-        && (request.path == "/v1/explore/stream" || request.path == "/v1/advise/batch");
-    if streaming {
-        let t0 = Instant::now();
-        let mut writer = responder.stream();
-        let status = if request.path == "/v1/explore/stream" {
-            explore_stream_catching_panics(state, &mut writer, &request)
-        } else {
-            advise_batch_catching_panics(state, &mut writer, &request)
-        };
-        state.metrics.observe_latency(&request.path, t0.elapsed());
-        state.metrics.count_status(status);
-        writer.finish();
-        return;
-    }
-    let keep = request.keep_alive;
-    let t0 = Instant::now();
-    let response = dispatch_catching_panics(state, &request);
-    state.metrics.observe_latency(&request.path, t0.elapsed());
-    responder.respond(response, keep);
-}
-
-/// Routes one request; a panicking handler becomes a 500, not a dead
-/// worker.
-fn dispatch_catching_panics(state: &AppState, request: &Request) -> Response {
-    match std::panic::catch_unwind(AssertUnwindSafe(|| route(state, request))) {
-        Ok(response) => response,
-        Err(_) => Response::error(500, "internal error"),
-    }
-}
-
-/// Every endpoint's unversioned spelling, redirected to `/v1` for one
-/// deprecation cycle (the pre-`/v1` wire API).
-const UNPREFIXED_ALIASES: [&str; 8] = [
-    "/explore",
-    "/explore/stream",
-    "/advise",
-    "/advise/batch",
-    "/catalog",
-    "/healthz",
-    "/metrics",
-    "/cache/invalidate",
-];
-
-/// The HTTP-date after which the deprecated spellings (the unprefixed
-/// aliases and `POST /v1/cache/invalidate`) stop answering. Stated in
-/// `docs/WIRE_API.md`; every deprecated response carries it in a
-/// `Sunset` header alongside `Deprecation: true`.
-pub const DEPRECATION_SUNSET: &str = "Wed, 01 Sep 2027 00:00:00 GMT";
-
-/// Stamps the deprecation headers on a response to a deprecated spelling
-/// and counts the hit under `deprecated-route-hits` in `/v1/metrics`.
-fn with_deprecation(state: &AppState, path: &str, mut resp: Response) -> Response {
-    resp.extra_headers
-        .push(("deprecation".into(), "true".into()));
-    resp.extra_headers
-        .push(("sunset".into(), DEPRECATION_SUNSET.into()));
-    state.metrics.count_deprecated(path);
-    resp
-}
-
-fn route(state: &AppState, request: &Request) -> Response {
-    let Some(path) = request.path.strip_prefix("/v1") else {
-        // Unprefixed spellings of known endpoints answer a permanent
-        // redirect so pre-v1 clients learn the new home; everything else
-        // is a plain 404.
-        if UNPREFIXED_ALIASES.contains(&request.path.as_str()) {
-            let mut resp = Response::error(308, "moved to the /v1 API");
-            resp.extra_headers
-                .push(("location".into(), format!("/v1{}", request.path)));
-            return with_deprecation(state, &request.path, resp);
-        }
-        return Response::error(404, "no such route");
-    };
-    // Tenant-admin routes carry the tenant name in the path.
-    if let Some(rest) = path.strip_prefix("/catalogs/") {
-        return catalogs_admin(state, request, rest);
-    }
-    match (request.method.as_str(), path) {
-        ("POST", "/explore") => explore(state, request),
-        ("POST", "/advise") => advise(state, request),
-        ("POST", "/whatif") => whatif(state, request),
-        ("GET", "/catalog") => {
-            let tenant = match resolve_tenant(state, request, None) {
-                Ok(tenant) => tenant,
-                Err(resp) => return *resp,
-            };
-            match catalog_to_json(&tenant.data().catalog) {
-                Ok(json) => Response::json(200, json),
-                Err(e) => Response::error(500, &e.to_string()),
-            }
-        }
-        ("GET", "/healthz") => Response::json(200, "{\"status\":\"ok\"}"),
-        ("GET", "/metrics") => {
-            let snapshot = full_snapshot(state);
-            match serde_json::to_string(&snapshot) {
-                Ok(json) => Response::json(200, json),
-                Err(e) => Response::error(500, &e.to_string()),
-            }
-        }
-        ("GET", "/catalogs") => match serde_json::to_string(&state.registry.list()) {
-            Ok(json) => Response::json(200, format!("{{\"tenants\":{json}}}")),
-            Err(e) => Response::error(500, &e.to_string()),
-        },
-        ("POST", "/snapshot") => {
-            // The admin trigger: flush warm state to disk right now (a
-            // deploy about to restart does this instead of waiting out the
-            // cadence). 409 when the server runs without a snapshot dir.
-            match write_snapshot_now(state) {
-                Ok((path, bytes)) => Response::json(
-                    200,
-                    format!(
-                        "{{\"path\":{},\"bytes\":{bytes}}}",
-                        serde_json::to_string(&path.display().to_string())
-                            .unwrap_or_else(|_| "\"\"".into())
-                    ),
-                ),
-                Err(e) if e.kind() == std::io::ErrorKind::Unsupported => Response::error_coded(
-                    409,
-                    "snapshot-disabled",
-                    "no snapshot directory configured",
-                    false,
-                ),
-                Err(e) => Response::error_coded(500, "snapshot-failed", &e.to_string(), true),
-            }
-        }
-        ("POST", "/cache/invalidate") => {
-            // Deprecated global alias: one sweep over *every* tenant's
-            // response cache and memo tables. Per-tenant invalidation
-            // lives at `POST /v1/catalogs/{tenant}/invalidate`.
-            let dropped = state.registry.invalidate_all_tenants();
-            with_deprecation(
-                state,
-                &request.path,
-                Response::json(
-                    200,
-                    format!("{{\"invalidated\":{dropped},\"deprecated\":true}}"),
-                ),
-            )
-        }
-        // Right path, wrong verb → 405 with the allowed method. The
-        // stream route lands here too: its POST is intercepted before
-        // dispatch, so any method that reaches route() is wrong.
-        (_, "/explore")
-        | (_, "/cache/invalidate")
-        | (_, "/explore/stream")
-        | (_, "/snapshot")
-        | (_, "/advise")
-        | (_, "/advise/batch")
-        | (_, "/whatif") => {
-            let mut resp = Response::error(405, "method not allowed");
-            resp.extra_headers.push(("allow".into(), "POST".into()));
-            resp
-        }
-        (_, "/catalog") | (_, "/healthz") | (_, "/metrics") | (_, "/catalogs") => {
-            let mut resp = Response::error(405, "method not allowed");
-            resp.extra_headers.push(("allow".into(), "GET".into()));
-            resp
-        }
-        _ => Response::error(404, "no such route"),
-    }
-}
-
-/// `/v1/catalogs/{tenant}` and `/v1/catalogs/{tenant}/invalidate`: the
-/// tenant-admin surface. `rest` is everything after `/v1/catalogs/`.
-fn catalogs_admin(state: &AppState, request: &Request, rest: &str) -> Response {
-    if let Some(name) = rest.strip_suffix("/invalidate") {
-        if request.method != "POST" {
-            let mut resp = Response::error(405, "method not allowed");
-            resp.extra_headers.push(("allow".into(), "POST".into()));
-            return resp;
-        }
-        return match state.registry.invalidate_tenant(name) {
-            Ok(dropped) => Response::json(
-                200,
-                format!("{{\"tenant\":\"{name}\",\"invalidated\":{dropped}}}"),
-            ),
-            Err(e) => registry_error(&e),
-        };
-    }
-    let name = rest;
-    if name.is_empty() || name.contains('/') {
-        return Response::error(404, "no such route");
-    }
-    if request.method != "PUT" {
-        let mut resp = Response::error(405, "method not allowed");
-        resp.extra_headers.push(("allow".into(), "PUT".into()));
-        return resp;
-    }
-    // Refuse unusable names before doing any body work.
-    if let Err(e) = CatalogRegistry::validate_name(name) {
-        return registry_error(&e);
-    }
-    // The body is a registrar catalog file — the same text format the CLI
-    // loads from disk — so an operator can `curl -T dept.cnav`.
-    let body = match std::str::from_utf8(&request.body) {
-        Ok(text) => text,
-        Err(_) => return Response::error(400, "body is not UTF-8"),
-    };
-    let data = match parse_registrar_file(body) {
-        Ok(data) => data,
-        Err(e) => return Response::error(400, &format!("bad catalog file: {e}")),
-    };
-    match state.registry.register(name, data) {
-        Ok(outcome) => Response::json(
-            200,
-            format!(
-                "{{\"tenant\":\"{name}\",\"epoch\":{},\"swapped\":{},\"invalidated\":{}}}",
-                outcome.epoch, outcome.swapped, outcome.dropped_entries
-            ),
-        ),
-        Err(e) => registry_error(&e),
-    }
-}
-
-/// Maps a registry refusal to its typed wire error: 404 `unknown-tenant`
-/// (nothing registered under that name), 400 `invalid-tenant` (the name
-/// itself is unusable), 409 `tenant-limit` (the registry is full).
-fn registry_error(e: &RegistryError) -> Response {
-    let (status, code) = match e {
-        RegistryError::UnknownTenant { .. } => (404, "unknown-tenant"),
-        RegistryError::InvalidName { .. } => (400, "invalid-tenant"),
-        RegistryError::Full { .. } => (409, "tenant-limit"),
-    };
-    Response::error_coded(status, code, &e.to_string(), false)
-}
-
-/// Resolves the tenant a request addresses: the request body's `tenant`
-/// field wins, then the `x-tenant` header, then [`DEFAULT_TENANT`] — so
-/// clients that never mention tenants keep their pre-registry behaviour
-/// byte for byte. `Err` carries the ready-to-send 404 `unknown-tenant`.
-fn resolve_tenant(
-    state: &AppState,
-    request: &Request,
-    from_body: Option<&str>,
-) -> Result<Arc<Tenant>, Box<Response>> {
-    let name = from_body
-        .or_else(|| request.header("x-tenant"))
-        .unwrap_or(DEFAULT_TENANT);
-    state.registry.get(name).ok_or_else(|| {
-        Box::new(Response::error_coded(
-            404,
-            "unknown-tenant",
-            &format!("no catalog registered for tenant `{name}`"),
-            false,
-        ))
-    })
-}
-
 /// The full `/v1/metrics` payload: process counters plus the registry's
 /// aggregated (and per-tenant) cache/memo state.
 fn full_snapshot(state: &AppState) -> MetricsSnapshot {
     let (cache, memo) = state.registry.aggregate();
-    state.metrics.snapshot(
+    MetricsSnapshot {
         cache,
         memo,
-        state.sessions.stats(),
-        state.overload.snapshot(),
-        state.registry.tenants_snapshot(),
-        state.snapshots.stats(),
-        state.registry.aggregate_dag(),
-        state.registry.tenant_invalidations(),
-        state.registry.global_invalidations(),
-    )
+        sessions: state.sessions.stats(),
+        overload: state.overload.snapshot(),
+        tenants: state.registry.tenants_snapshot(),
+        snapshot: *state.snapshots.stats.lock(),
+        unique_table: state.registry.aggregate_dag(),
+        invalidate_tenant_requests: state.registry.tenant_invalidations(),
+        invalidate_global_requests: state.registry.global_invalidations(),
+        ..state.metrics.snapshot()
+    }
 }
 
 /// Collects every tenant partition's warm state plus the session store
@@ -958,1263 +611,20 @@ fn write_snapshot_now(state: &AppState) -> std::io::Result<(PathBuf, u64)> {
         .then_some(bytes.len() / 2);
     #[cfg(not(feature = "chaos"))]
     let tear = None;
-    match snapshot::write_atomic(&dir, &bytes, tear) {
+    let written = snapshot::write_atomic(&dir, &bytes, tear);
+    let mut stats = state.snapshots.stats.lock();
+    match written {
         Ok(path) => {
-            let s = &state.snapshots;
-            s.writes.fetch_add(1, Ordering::Relaxed);
-            s.last_write_bytes
-                .store(bytes.len() as u64, Ordering::Relaxed);
-            s.last_write_ms
-                .store(t0.elapsed().as_millis() as u64, Ordering::Relaxed);
+            stats.writes += 1;
+            stats.last_write_bytes = bytes.len() as u64;
+            stats.last_write_ms = t0.elapsed().as_millis() as u64;
             Ok((path, bytes.len() as u64))
         }
         Err(e) => {
-            state.snapshots.write_errors.fetch_add(1, Ordering::Relaxed);
+            stats.write_errors += 1;
             Err(e)
         }
     }
-}
-
-/// Stamps the `x-cache` header that tells a client how its answer was
-/// produced: `hit` (response cache), `miss` (this worker ran the engine),
-/// or `coalesced` (another worker's in-flight computation answered it).
-fn with_x_cache(mut resp: Response, how: &str) -> Response {
-    resp.extra_headers.push(("x-cache".into(), how.into()));
-    resp
-}
-
-/// Clamps a canonical request to the admitted degradation level: level 1
-/// gets the soft budget, level 2 the floor. The clamp shrinks `budget_ms`
-/// and caps `page_size`; it never loosens what the client asked for.
-fn degrade_request(state: &AppState, req: &mut ExplorationRequest, level: u8) {
-    let c = state.overload.config();
-    match level {
-        0 => {}
-        1 => req.apply_degradation(c.soft_budget_ms, c.degraded_page_size),
-        _ => req.apply_degradation(c.floor_budget_ms, c.degraded_page_size),
-    }
-}
-
-/// Stamps `x-degraded: <level>` on responses served below full fidelity.
-fn with_degraded(mut resp: Response, level: u8) -> Response {
-    if level > 0 {
-        resp.extra_headers
-            .push(("x-degraded".into(), level.to_string()));
-    }
-    resp
-}
-
-/// Stores a completed answer in the tenant's partition unless the armed
-/// fault plan drops the put — the cache-layer failure the chaos suite
-/// proves harmless (a dropped put costs a recompute, never a wrong
-/// answer).
-fn cache_put(state: &AppState, tenant: &Tenant, key: &str, body: &[u8]) {
-    chaos!(state, faults::FaultSite::DropCachePut, {
-        return;
-    });
-    let _ = state; // chaos-only parameter in non-chaos builds
-    tenant.cache().put(key, body);
-}
-
-/// `POST /explore`: admission control first (the breaker answers a fast
-/// typed 503 with `Retry-After` when open), then parse, canonicalize,
-/// degrade to the admitted level, and serve.
-fn explore(state: &AppState, request: &Request) -> Response {
-    state
-        .metrics
-        .explore_requests
-        .fetch_add(1, Ordering::Relaxed);
-    let (level, probe) = match state.overload.admit() {
-        Admission::Reject { retry_after } => return Response::overloaded(retry_after),
-        Admission::Go { level, probe } => (level, probe),
-    };
-    let body = match std::str::from_utf8(&request.body) {
-        Ok(text) => text,
-        Err(_) => {
-            return Response::error_field(
-                400,
-                "invalid-request",
-                "body",
-                "body is not UTF-8",
-                false,
-            )
-        }
-    };
-    let req = match ExplorationRequest::from_json(body) {
-        Ok(req) => req,
-        Err(e) => {
-            return Response::error_field(
-                400,
-                "invalid-request",
-                "body",
-                &format!("bad exploration request: {e}"),
-                false,
-            )
-        }
-    };
-    // Execute the *canonical* form, not the submitted one: two spellings
-    // that share a cache key must produce byte-identical answers, and a
-    // weighted ranking's reported costs depend on the weight scale. The
-    // canonical scale (largest weight = 1) is the one the cache stores.
-    let mut req = req.canonicalize();
-    let tenant = match resolve_tenant(state, request, req.tenant.as_deref()) {
-        Ok(tenant) => tenant,
-        Err(resp) => return *resp,
-    };
-    degrade_request(state, &mut req, level);
-    let t0 = Instant::now();
-    let resp = explore_admitted(state, &tenant, &req);
-    state
-        .overload
-        .observe(t0.elapsed(), resp.status < 500, probe);
-    with_degraded(resp, level)
-}
-
-/// The cache/coalesce/compute pipeline for one admitted exploration:
-/// consult the cache, coalesce concurrent duplicates onto one engine run,
-/// cache complete answers.
-fn explore_admitted(state: &AppState, tenant: &Tenant, req: &ExplorationRequest) -> Response {
-    // Paged requests are resumable sessions: each page is single-use (its
-    // cursor is consumed on resume), so neither the response cache nor
-    // singleflight applies.
-    if req.cursor.is_some() || req.page_size.is_some() {
-        return explore_paged(state, tenant, req);
-    }
-
-    let key = req.cache_key();
-    if let Some(cached) = tenant.cache().get(&key) {
-        state
-            .metrics
-            .explore_cache_hits
-            .fetch_add(1, Ordering::Relaxed);
-        return with_x_cache(Response::json(200, cached.to_vec()), "hit");
-    }
-
-    // Flights coalesce within one (tenant, epoch) only: the same request
-    // against a freshly swapped catalog is *different work*, and must not
-    // ride a computation started against the old epoch.
-    let flight_key = format!("{}\n{key}", tenant.scope());
-    match state.flights.begin(&flight_key) {
-        Role::Leader(leader) => {
-            // Double-check the cache: a previous leader may have published
-            // between our miss above and winning this flight.
-            if let Some(cached) = tenant.cache().get(&key) {
-                state
-                    .metrics
-                    .explore_cache_hits
-                    .fetch_add(1, Ordering::Relaxed);
-                let resp = Response::json(200, cached.to_vec());
-                leader.publish(resp.clone());
-                return with_x_cache(resp, "hit");
-            }
-            state
-                .metrics
-                .explore_computed
-                .fetch_add(1, Ordering::Relaxed);
-            let (resp, cacheable) = compute_explore(state, tenant, req);
-            // Cache *before* publish: once the flight retires, a racing
-            // request must either hit the cache or lead a fresh flight —
-            // never recompute what the leader just finished.
-            if cacheable {
-                cache_put(state, tenant, &key, &resp.body);
-            }
-            leader.publish(resp.clone());
-            with_x_cache(resp, "miss")
-        }
-        Role::Follower(follower) => {
-            let deadline = req
-                .budget_ms
-                .or(state.default_budget_ms)
-                .map(|ms| Instant::now() + Duration::from_millis(ms));
-            let t0 = Instant::now();
-            match follower.wait(deadline) {
-                Some(Published::Done(resp)) => {
-                    state
-                        .metrics
-                        .explore_coalesced
-                        .fetch_add(1, Ordering::Relaxed);
-                    state
-                        .metrics
-                        .explore_wait_ms
-                        .fetch_add(t0.elapsed().as_millis() as u64, Ordering::Relaxed);
-                    with_x_cache(resp, "coalesced")
-                }
-                // The leader abandoned (panicked), or our own budget ran
-                // out first: compute for ourselves. An already-expired
-                // deadline makes that a fast truncated partial — the
-                // follower never waits past its budget for someone else.
-                Some(Published::Abandoned) | None => {
-                    state
-                        .metrics
-                        .explore_computed
-                        .fetch_add(1, Ordering::Relaxed);
-                    let (resp, cacheable) = compute_explore(state, tenant, req);
-                    if cacheable {
-                        cache_put(state, tenant, &key, &resp.body);
-                    }
-                    with_x_cache(resp, "miss")
-                }
-            }
-        }
-    }
-}
-
-/// Runs one canonical exploration under its deadline. Returns the wire
-/// response and whether it may be cached (only complete 200s are: a
-/// truncated answer reflects this request's deadline, not the
-/// exploration, and errors are cheap to re-derive).
-fn compute_explore(
-    state: &AppState,
-    tenant: &Tenant,
-    req: &ExplorationRequest,
-) -> (Response, bool) {
-    chaos!(state, faults::FaultSite::PanicBeforeCompute, {
-        panic!("chaos: worker panic before compute");
-    });
-    chaos!(state, faults::FaultSite::ComputeDelay, {
-        std::thread::sleep(state.faults.delay);
-    });
-    let deadline = req
-        .budget_ms
-        .or(state.default_budget_ms)
-        .map(|ms| Instant::now() + Duration::from_millis(ms));
-
-    let data = Arc::clone(tenant.data());
-    let mut service = NavigatorService::new(&data.catalog);
-    if let Some(degree) = &data.degree {
-        service = service.with_degree(degree);
-    }
-    if let Some(offering) = &data.offering {
-        service = service.with_offering_model(offering);
-    }
-
-    // Different requests over the same exploration tree share one
-    // transposition table *within the tenant's partition*; the engine
-    // consults and warms it as it runs.
-    let table = tenant.memo().table_for(&req.memo_key());
-    match service.run_until_memo(req, deadline, state.parallelism, table.as_deref()) {
-        Ok(response) => {
-            chaos!(state, faults::FaultSite::PanicAfterCompute, {
-                panic!("chaos: worker panic after compute");
-            });
-            if response.truncated() {
-                state
-                    .metrics
-                    .explore_truncated
-                    .fetch_add(1, Ordering::Relaxed);
-            }
-            match serde_json::to_string(&response) {
-                Ok(json) => (Response::json(200, json), !response.truncated()),
-                Err(e) => (Response::error(500, &e.to_string()), false),
-            }
-        }
-        Err(e) => (engine_error(&e), false),
-    }
-}
-
-/// Maps an engine failure to its typed wire error: the stable kebab-case
-/// code from [`ServiceError::code`], under 400 for cursor problems (the
-/// client sent reusable garbage), 413 for a state budget the server ran
-/// out of (the answer is too large to materialize — retryable once the
-/// saturated table rotates), and 422 otherwise (the request was
-/// well-formed but unservable).
-fn engine_error(e: &ServiceError) -> Response {
-    let status = match e.code() {
-        "invalid-cursor" => 400,
-        "state-budget" => 413,
-        _ => 422,
-    };
-    Response::error_coded(status, e.code(), &e.to_string(), e.retryable())
-}
-
-/// Resolves an opaque cursor token to the engine cursor it names,
-/// consuming the session. `scope` is the resolving tenant's
-/// `tenant@epoch`: a token minted under any other scope — another tenant,
-/// or this tenant before a catalog swap — answers 410 `cursor-expired`,
-/// exactly as if it had aged out. `Err` carries the ready-to-send
-/// refusal: 400 `invalid-cursor` for bad tokens, 410 `cursor-expired`
-/// for consumed/aged/evicted/out-of-scope sessions.
-fn resolve_cursor(
-    state: &AppState,
-    scope: &str,
-    token: Option<&str>,
-) -> Result<Option<ExplorationCursor>, Box<Response>> {
-    let Some(token) = token else {
-        return Ok(None);
-    };
-    let json = state.sessions.take_scoped(token, scope).map_err(|e| {
-        let (status, code) = match e {
-            SessionError::Invalid => (400, "invalid-cursor"),
-            SessionError::Expired => (410, "cursor-expired"),
-        };
-        Box::new(Response::error_coded(status, code, &e.to_string(), false))
-    })?;
-    match ExplorationCursor::from_json(&json) {
-        Ok(cursor) => Ok(Some(cursor)),
-        // The store only holds JSON the engine minted, so this is a
-        // server-side defect, not client input — but refusing the token
-        // beats serving a wrong page.
-        Err(e) => Err(Box::new(Response::error_coded(
-            500,
-            "internal",
-            &format!("stored cursor failed to parse: {e}"),
-            false,
-        ))),
-    }
-}
-
-/// One page of a resumable exploration: resolve the token, run the engine
-/// up to `page_size` results, and mint the next token when the
-/// exploration pauses with more to deliver.
-fn explore_paged(state: &AppState, tenant: &Tenant, req: &ExplorationRequest) -> Response {
-    state.metrics.explore_paged.fetch_add(1, Ordering::Relaxed);
-    state
-        .metrics
-        .explore_computed
-        .fetch_add(1, Ordering::Relaxed);
-    let scope = tenant.scope();
-    let cursor = match resolve_cursor(state, &scope, req.cursor.as_deref()) {
-        Ok(cursor) => cursor,
-        Err(resp) => return *resp,
-    };
-    let deadline = req
-        .budget_ms
-        .or(state.default_budget_ms)
-        .map(|ms| Instant::now() + Duration::from_millis(ms));
-    let data = Arc::clone(tenant.data());
-    let mut service = NavigatorService::new(&data.catalog);
-    if let Some(degree) = &data.degree {
-        service = service.with_degree(degree);
-    }
-    if let Some(offering) = &data.offering {
-        service = service.with_offering_model(offering);
-    }
-    let table = tenant.memo().table_for(&req.memo_key());
-    match service.run_page_memo(req, cursor.as_ref(), deadline, None, table.as_deref()) {
-        Ok(mut outcome) => {
-            if outcome.response.truncated() {
-                state
-                    .metrics
-                    .explore_truncated
-                    .fetch_add(1, Ordering::Relaxed);
-            }
-            chaos!(state, faults::FaultSite::EvictSessions, {
-                // The session store blown away under the minting request's
-                // feet: every outstanding cursor must answer 410, never a
-                // wrong page.
-                state.sessions.evict_all();
-            });
-            let token = outcome
-                .cursor
-                .map(|c| state.sessions.mint_scoped(c.to_json(), &scope));
-            outcome.response.set_next_cursor(token);
-            match serde_json::to_string(&outcome.response) {
-                Ok(json) => with_x_cache(Response::json(200, json), "bypass"),
-                Err(e) => Response::error(500, &e.to_string()),
-            }
-        }
-        Err(e) => engine_error(&e),
-    }
-}
-
-/// [`explore_stream`] behind the same panic firewall as buffered routes.
-/// A panic after the chunked head is on the wire cannot be turned into an
-/// error response; dropping the connection mid-body is the signal.
-fn explore_stream_catching_panics<W: Write>(
-    state: &AppState,
-    conn: &mut W,
-    request: &Request,
-) -> u16 {
-    std::panic::catch_unwind(AssertUnwindSafe(|| explore_stream(state, conn, request)))
-        .unwrap_or(500)
-}
-
-/// Serializes one streamed line: `{"path":...}` or `{"ranked":...}`.
-fn stream_line(item: StreamedItem<'_>) -> Vec<u8> {
-    let value = match item {
-        StreamedItem::Path(p) => {
-            serde_json::Value::Object(vec![("path".to_string(), serde_json::to_value(p))])
-        }
-        StreamedItem::Ranked(r) => {
-            serde_json::Value::Object(vec![("ranked".to_string(), serde_json::to_value(r))])
-        }
-    };
-    let mut line = serde_json::to_string(&value)
-        .unwrap_or_default()
-        .into_bytes();
-    line.push(b'\n');
-    line
-}
-
-/// `POST /v1/explore/stream`: the same exploration (and the same
-/// resumable-session semantics) as `/v1/explore`, delivered as chunked
-/// NDJSON — one path per line the moment the engine yields it, then one
-/// final `{"done":<response>}` line whose `paths` are cleared (they were
-/// already streamed) and whose `next_cursor` carries the resume token.
-/// Returns the status to account under `/metrics`.
-fn explore_stream<W: Write>(state: &AppState, conn: &mut W, request: &Request) -> u16 {
-    state
-        .metrics
-        .explore_requests
-        .fetch_add(1, Ordering::Relaxed);
-    state
-        .metrics
-        .explore_streamed
-        .fetch_add(1, Ordering::Relaxed);
-    let (level, probe) = match state.overload.admit() {
-        Admission::Reject { retry_after } => {
-            let resp = Response::overloaded(retry_after);
-            let status = resp.status;
-            let _ = http::write_response(conn, &resp, false);
-            return status;
-        }
-        Admission::Go { level, probe } => (level, probe),
-    };
-    let t0 = Instant::now();
-    let status = explore_stream_admitted(state, conn, request, level);
-    state.overload.observe(t0.elapsed(), status < 500, probe);
-    status
-}
-
-/// The streaming pipeline for one admitted exploration, degraded to
-/// `level`.
-fn explore_stream_admitted<W: Write>(
-    state: &AppState,
-    conn: &mut W,
-    request: &Request,
-    level: u8,
-) -> u16 {
-    state
-        .metrics
-        .explore_computed
-        .fetch_add(1, Ordering::Relaxed);
-    // Before any chunk is written, failures are ordinary buffered
-    // responses on the same connection.
-    fn fail<W: Write>(conn: &mut W, resp: Response) -> u16 {
-        let status = resp.status;
-        let _ = http::write_response(conn, &resp, false);
-        status
-    }
-    let body = match std::str::from_utf8(&request.body) {
-        Ok(text) => text,
-        Err(_) => {
-            return fail(
-                conn,
-                Response::error_field(400, "invalid-request", "body", "body is not UTF-8", false),
-            )
-        }
-    };
-    let req = match ExplorationRequest::from_json(body) {
-        Ok(req) => req,
-        Err(e) => {
-            return fail(
-                conn,
-                Response::error_field(
-                    400,
-                    "invalid-request",
-                    "body",
-                    &format!("bad exploration request: {e}"),
-                    false,
-                ),
-            )
-        }
-    };
-    let mut req = req.canonicalize();
-    let tenant = match resolve_tenant(state, request, req.tenant.as_deref()) {
-        Ok(tenant) => tenant,
-        Err(resp) => return fail(conn, *resp),
-    };
-    degrade_request(state, &mut req, level);
-    let scope = tenant.scope();
-    let cursor = match resolve_cursor(state, &scope, req.cursor.as_deref()) {
-        Ok(cursor) => cursor,
-        Err(resp) => return fail(conn, *resp),
-    };
-    let deadline = req
-        .budget_ms
-        .or(state.default_budget_ms)
-        .map(|ms| Instant::now() + Duration::from_millis(ms));
-    let data = Arc::clone(tenant.data());
-    let mut service = NavigatorService::new(&data.catalog);
-    if let Some(degree) = &data.degree {
-        service = service.with_degree(degree);
-    }
-    if let Some(offering) = &data.offering {
-        service = service.with_offering_model(offering);
-    }
-
-    // The chunked head goes out lazily, on the first streamed line: every
-    // error the engine can detect up front still gets a proper status.
-    let mut head_headers = vec![("x-cache".to_string(), "bypass".to_string())];
-    if level > 0 {
-        head_headers.push(("x-degraded".to_string(), level.to_string()));
-    }
-    let mut head_written = false;
-    let mut io_failed = false;
-    let result = {
-        let mut sink = |item: StreamedItem<'_>| -> ControlFlow<()> {
-            if !head_written {
-                if http::write_chunked_head(conn, 200, "application/x-ndjson", &head_headers)
-                    .is_err()
-                {
-                    io_failed = true;
-                    return ControlFlow::Break(());
-                }
-                head_written = true;
-            }
-            if http::write_chunk(conn, &stream_line(item)).is_err() {
-                io_failed = true;
-                return ControlFlow::Break(());
-            }
-            ControlFlow::Continue(())
-        };
-        let table = tenant.memo().table_for(&req.memo_key());
-        service.run_page_memo(
-            &req,
-            cursor.as_ref(),
-            deadline,
-            Some(&mut sink),
-            table.as_deref(),
-        )
-    };
-    match result {
-        Ok(_) if io_failed => {
-            // The connection died mid-stream (the event loop reaped or
-            // reset it and closed our buffer). The loop owns the reset
-            // accounting; this is not a server error.
-            200
-        }
-        Ok(mut outcome) => {
-            if outcome.response.truncated() {
-                state
-                    .metrics
-                    .explore_truncated
-                    .fetch_add(1, Ordering::Relaxed);
-            }
-            chaos!(state, faults::FaultSite::EvictSessions, {
-                state.sessions.evict_all();
-            });
-            let token = outcome
-                .cursor
-                .map(|c| state.sessions.mint_scoped(c.to_json(), &scope));
-            outcome.response.set_next_cursor(token);
-            // The summary line: the response minus the already-streamed
-            // paths. The response serializes as {"<variant>": {fields}},
-            // so the `paths` field to clear sits one level down.
-            let mut done = serde_json::to_value(&outcome.response);
-            if let serde_json::Value::Object(variants) = &mut done {
-                for (_, body) in variants.iter_mut() {
-                    if let serde_json::Value::Object(fields) = body {
-                        for (key, value) in fields.iter_mut() {
-                            if key == "paths" {
-                                *value = serde_json::Value::Array(Vec::new());
-                            }
-                        }
-                    }
-                }
-            }
-            let envelope = serde_json::Value::Object(vec![("done".to_string(), done)]);
-            let mut line = serde_json::to_string(&envelope)
-                .unwrap_or_default()
-                .into_bytes();
-            line.push(b'\n');
-            if !head_written
-                && http::write_chunked_head(conn, 200, "application/x-ndjson", &head_headers)
-                    .is_err()
-            {
-                return 200;
-            }
-            let _ = http::write_chunk(conn, &line);
-            let _ = http::finish_chunks(conn);
-            200
-        }
-        Err(e) => {
-            let resp = engine_error(&e);
-            if head_written {
-                // Mid-stream failure: the 200 head is already on the
-                // wire, so the typed error rides the last line instead.
-                let mut line = Vec::with_capacity(resp.body.len() + 1);
-                line.extend_from_slice(&resp.body);
-                line.push(b'\n');
-                let _ = http::write_chunk(conn, &line);
-                let _ = http::finish_chunks(conn);
-                resp.status
-            } else {
-                fail(conn, resp)
-            }
-        }
-    }
-}
-
-/// Replays a wire transcript against the tenant's catalog: resolves every
-/// code and validates each semester's eligibility. The advising routes
-/// refuse a transcript the catalog cannot replay *before* touching the
-/// engine, so the typed error names the exact transcript field at fault.
-fn transcript_status(tenant: &Tenant, spec: &TranscriptSpec) -> Result<(), TranscriptError> {
-    let catalog = &tenant.data().catalog;
-    let transcript = Transcript::from_codes(catalog, spec.start, &spec.selections)?;
-    transcript.status_after(catalog)?;
-    Ok(())
-}
-
-/// [`transcript_status`] rendered as the wire refusal: 422 for codes the
-/// catalog lacks (the transcript belongs to another catalog revision),
-/// 400 for a history the catalog cannot replay (ineligible selections).
-fn validate_transcript(tenant: &Tenant, spec: &TranscriptSpec) -> Result<(), Box<Response>> {
-    transcript_status(tenant, spec).map_err(|e| {
-        let status = match e {
-            TranscriptError::UnknownCourse { .. } => 422,
-            TranscriptError::IneligibleSelection { .. } => 400,
-        };
-        Box::new(Response::error_field(
-            status,
-            e.code(),
-            &e.field(),
-            &e.to_string(),
-            false,
-        ))
-    })
-}
-
-/// [`degrade_request`] for advising: the same clamps at the same levels.
-fn degrade_advise(state: &AppState, req: &mut AdviseRequest, level: u8) {
-    let c = state.overload.config();
-    match level {
-        0 => {}
-        1 => req.apply_degradation(c.soft_budget_ms, c.degraded_page_size),
-        _ => req.apply_degradation(c.floor_budget_ms, c.degraded_page_size),
-    }
-}
-
-/// `POST /v1/advise`: transcript-conditioned advising. Admission control
-/// first, then parse, validate the transcript against the tenant's
-/// catalog, degrade to the admitted level, and serve through the same
-/// cache/coalesce/compute pipeline as `/v1/explore`.
-fn advise(state: &AppState, request: &Request) -> Response {
-    state
-        .metrics
-        .advise_requests
-        .fetch_add(1, Ordering::Relaxed);
-    let (level, probe) = match state.overload.admit() {
-        Admission::Reject { retry_after } => return Response::overloaded(retry_after),
-        Admission::Go { level, probe } => (level, probe),
-    };
-    let body = match std::str::from_utf8(&request.body) {
-        Ok(text) => text,
-        Err(_) => {
-            return Response::error_field(
-                400,
-                "invalid-request",
-                "body",
-                "body is not UTF-8",
-                false,
-            )
-        }
-    };
-    let mut req = match AdviseRequest::from_json(body) {
-        Ok(req) => req,
-        Err(e) => {
-            return Response::error_field(
-                400,
-                "invalid-request",
-                "body",
-                &format!("bad advise request: {e}"),
-                false,
-            )
-        }
-    };
-    let tenant = match resolve_tenant(state, request, req.tenant.as_deref()) {
-        Ok(tenant) => tenant,
-        Err(resp) => return *resp,
-    };
-    if let Err(resp) = validate_transcript(&tenant, &req.transcript) {
-        return *resp;
-    }
-    degrade_advise(state, &mut req, level);
-    let t0 = Instant::now();
-    let resp = advise_admitted(state, &tenant, &req);
-    state
-        .overload
-        .observe(t0.elapsed(), resp.status < 500, probe);
-    with_degraded(resp, level)
-}
-
-/// The cache/coalesce/compute pipeline for one admitted advising request —
-/// the same shape as [`explore_admitted`], keyed under the advise cache
-/// key so advising and exploration answers never collide while their memo
-/// tables still do (by design) overlap.
-fn advise_admitted(state: &AppState, tenant: &Tenant, req: &AdviseRequest) -> Response {
-    if req.cursor.is_some() || req.page_size.is_some() {
-        return advise_paged(state, tenant, req);
-    }
-
-    let key = req.cache_key();
-    if let Some(cached) = tenant.cache().get(&key) {
-        state
-            .metrics
-            .advise_cache_hits
-            .fetch_add(1, Ordering::Relaxed);
-        return with_x_cache(Response::json(200, cached.to_vec()), "hit");
-    }
-
-    let flight_key = format!("{}\n{key}", tenant.scope());
-    match state.flights.begin(&flight_key) {
-        Role::Leader(leader) => {
-            if let Some(cached) = tenant.cache().get(&key) {
-                state
-                    .metrics
-                    .advise_cache_hits
-                    .fetch_add(1, Ordering::Relaxed);
-                let resp = Response::json(200, cached.to_vec());
-                leader.publish(resp.clone());
-                return with_x_cache(resp, "hit");
-            }
-            state
-                .metrics
-                .advise_computed
-                .fetch_add(1, Ordering::Relaxed);
-            let (resp, cacheable) = compute_advise(state, tenant, req);
-            if cacheable {
-                cache_put(state, tenant, &key, &resp.body);
-            }
-            leader.publish(resp.clone());
-            with_x_cache(resp, "miss")
-        }
-        Role::Follower(follower) => {
-            let deadline = req
-                .budget_ms
-                .or(state.default_budget_ms)
-                .map(|ms| Instant::now() + Duration::from_millis(ms));
-            match follower.wait(deadline) {
-                Some(Published::Done(resp)) => with_x_cache(resp, "coalesced"),
-                Some(Published::Abandoned) | None => {
-                    state
-                        .metrics
-                        .advise_computed
-                        .fetch_add(1, Ordering::Relaxed);
-                    let (resp, cacheable) = compute_advise(state, tenant, req);
-                    if cacheable {
-                        cache_put(state, tenant, &key, &resp.body);
-                    }
-                    with_x_cache(resp, "miss")
-                }
-            }
-        }
-    }
-}
-
-/// Runs one advising request under its deadline. Returns the wire
-/// response and whether it may be cached (complete 200s only, as with
-/// explorations).
-fn compute_advise(state: &AppState, tenant: &Tenant, req: &AdviseRequest) -> (Response, bool) {
-    let deadline = req
-        .budget_ms
-        .or(state.default_budget_ms)
-        .map(|ms| Instant::now() + Duration::from_millis(ms));
-    let data = Arc::clone(tenant.data());
-    let mut service = NavigatorService::new(&data.catalog);
-    if let Some(degree) = &data.degree {
-        service = service.with_degree(degree);
-    }
-    if let Some(offering) = &data.offering {
-        service = service.with_offering_model(offering);
-    }
-    // The derived exploration's memo key is the same one `/v1/explore`
-    // uses over this tree: advising warms exploration and vice versa.
-    let table = tenant.memo().table_for(&req.memo_key());
-    match service.advise_until_memo(req, None, deadline, state.parallelism, table.as_deref()) {
-        Ok(outcome) => {
-            let response = outcome.response;
-            match serde_json::to_string(&response) {
-                Ok(json) => (Response::json(200, json), !response.truncated),
-                Err(e) => (Response::error(500, &e.to_string()), false),
-            }
-        }
-        Err(e) => (engine_error(&e), false),
-    }
-}
-
-/// One page of ranked completions for an advising session: the advising
-/// counterpart of [`explore_paged`], riding the same scoped session store
-/// — advise cursors expire on catalog swaps and refuse foreign tenants
-/// exactly as exploration cursors do.
-fn advise_paged(state: &AppState, tenant: &Tenant, req: &AdviseRequest) -> Response {
-    state
-        .metrics
-        .advise_computed
-        .fetch_add(1, Ordering::Relaxed);
-    let scope = tenant.scope();
-    let cursor = match resolve_cursor(state, &scope, req.cursor.as_deref()) {
-        Ok(cursor) => cursor,
-        Err(resp) => return *resp,
-    };
-    let deadline = req
-        .budget_ms
-        .or(state.default_budget_ms)
-        .map(|ms| Instant::now() + Duration::from_millis(ms));
-    let data = Arc::clone(tenant.data());
-    let mut service = NavigatorService::new(&data.catalog);
-    if let Some(degree) = &data.degree {
-        service = service.with_degree(degree);
-    }
-    if let Some(offering) = &data.offering {
-        service = service.with_offering_model(offering);
-    }
-    let table = tenant.memo().table_for(&req.memo_key());
-    match service.advise_until_memo(
-        req,
-        cursor.as_ref(),
-        deadline,
-        state.parallelism,
-        table.as_deref(),
-    ) {
-        Ok(mut outcome) => {
-            chaos!(state, faults::FaultSite::EvictSessions, {
-                state.sessions.evict_all();
-            });
-            let token = outcome
-                .cursor
-                .map(|c| state.sessions.mint_scoped(c.to_json(), &scope));
-            outcome.response.next_cursor = token;
-            match serde_json::to_string(&outcome.response) {
-                Ok(json) => with_x_cache(Response::json(200, json), "bypass"),
-                Err(e) => Response::error(500, &e.to_string()),
-            }
-        }
-        Err(e) => engine_error(&e),
-    }
-}
-
-/// [`degrade_request`] for what-ifs: the clamps land on the base request.
-fn degrade_whatif(state: &AppState, req: &mut WhatIfRequest, level: u8) {
-    let c = state.overload.config();
-    match level {
-        0 => {}
-        1 => req.apply_degradation(c.soft_budget_ms, c.degraded_page_size),
-        _ => req.apply_degradation(c.floor_budget_ms, c.degraded_page_size),
-    }
-}
-
-/// `POST /v1/whatif`: a base exploration plus a constraint delta,
-/// answered by set-algebraic apply over the tenant's hash-consed path
-/// DAG when possible ([`NavigatorService::whatif_until`]). Admission
-/// control, transcript validation, degradation, caching, and
-/// singleflight are all shared with `/v1/explore` — a no-force what-if
-/// even shares the explore cache entry of its merged request, because
-/// the answers are byte-identical by construction.
-fn whatif(state: &AppState, request: &Request) -> Response {
-    state
-        .metrics
-        .whatif_requests
-        .fetch_add(1, Ordering::Relaxed);
-    let (level, probe) = match state.overload.admit() {
-        Admission::Reject { retry_after } => return Response::overloaded(retry_after),
-        Admission::Go { level, probe } => (level, probe),
-    };
-    let body = match std::str::from_utf8(&request.body) {
-        Ok(text) => text,
-        Err(_) => {
-            return Response::error_field(
-                400,
-                "invalid-request",
-                "body",
-                "body is not UTF-8",
-                false,
-            )
-        }
-    };
-    let mut req = match WhatIfRequest::from_json(body) {
-        Ok(req) => req,
-        Err(e) => {
-            return Response::error_field(
-                400,
-                "invalid-request",
-                "body",
-                &format!("bad what-if request: {e}"),
-                false,
-            )
-        }
-    };
-    let tenant = match resolve_tenant(state, request, req.tenant()) {
-        Ok(tenant) => tenant,
-        Err(resp) => return *resp,
-    };
-    if let Some(spec) = &req.transcript {
-        if let Err(resp) = validate_transcript(&tenant, spec) {
-            return *resp;
-        }
-    }
-    degrade_whatif(state, &mut req, level);
-    let t0 = Instant::now();
-    let resp = whatif_admitted(state, &tenant, &req);
-    state
-        .overload
-        .observe(t0.elapsed(), resp.status < 500, probe);
-    with_degraded(resp, level)
-}
-
-/// The cache/coalesce/compute pipeline for one admitted what-if — the
-/// same shape as [`explore_admitted`]. Paged what-ifs resolve to paged
-/// explorations of the merged request (force has no paged form); unpaged
-/// ones ride the cache and singleflight under [`WhatIfRequest::cache_key`].
-fn whatif_admitted(state: &AppState, tenant: &Tenant, req: &WhatIfRequest) -> Response {
-    let merged = req.merged_request();
-    if merged.cursor.is_some() || merged.page_size.is_some() {
-        if !req.delta.force.is_empty() {
-            return engine_error(&ServiceError::Explore(ExploreError::InvalidRequest(
-                "forced courses require count output without paging".into(),
-            )));
-        }
-        return explore_paged(state, tenant, &merged);
-    }
-
-    let key = req.cache_key();
-    if let Some(cached) = tenant.cache().get(&key) {
-        state
-            .metrics
-            .whatif_cache_hits
-            .fetch_add(1, Ordering::Relaxed);
-        return with_x_cache(Response::json(200, cached.to_vec()), "hit");
-    }
-
-    let flight_key = format!("{}\n{key}", tenant.scope());
-    match state.flights.begin(&flight_key) {
-        Role::Leader(leader) => {
-            if let Some(cached) = tenant.cache().get(&key) {
-                state
-                    .metrics
-                    .whatif_cache_hits
-                    .fetch_add(1, Ordering::Relaxed);
-                let resp = Response::json(200, cached.to_vec());
-                leader.publish(resp.clone());
-                return with_x_cache(resp, "hit");
-            }
-            state
-                .metrics
-                .whatif_computed
-                .fetch_add(1, Ordering::Relaxed);
-            let (resp, cacheable) = compute_whatif(state, tenant, req);
-            if cacheable {
-                cache_put(state, tenant, &key, &resp.body);
-            }
-            leader.publish(resp.clone());
-            with_x_cache(resp, "miss")
-        }
-        Role::Follower(follower) => {
-            let deadline = req
-                .base
-                .budget_ms
-                .or(state.default_budget_ms)
-                .map(|ms| Instant::now() + Duration::from_millis(ms));
-            match follower.wait(deadline) {
-                Some(Published::Done(resp)) => with_x_cache(resp, "coalesced"),
-                Some(Published::Abandoned) | None => {
-                    state
-                        .metrics
-                        .whatif_computed
-                        .fetch_add(1, Ordering::Relaxed);
-                    let (resp, cacheable) = compute_whatif(state, tenant, req);
-                    if cacheable {
-                        cache_put(state, tenant, &key, &resp.body);
-                    }
-                    with_x_cache(resp, "miss")
-                }
-            }
-        }
-    }
-}
-
-/// Runs one what-if under its deadline, against the tenant's shared memo
-/// table *and* its shared path-DAG table. Returns the wire response and
-/// whether it may be cached (complete 200s only).
-fn compute_whatif(state: &AppState, tenant: &Tenant, req: &WhatIfRequest) -> (Response, bool) {
-    let deadline = req
-        .base
-        .budget_ms
-        .or(state.default_budget_ms)
-        .map(|ms| Instant::now() + Duration::from_millis(ms));
-    let data = Arc::clone(tenant.data());
-    let mut service = NavigatorService::new(&data.catalog);
-    if let Some(degree) = &data.degree {
-        service = service.with_degree(degree);
-    }
-    if let Some(offering) = &data.offering {
-        service = service.with_offering_model(offering);
-    }
-    let table = tenant.memo().table_for(&req.memo_key());
-    let dag = tenant.dag().table();
-    match service.whatif_until(
-        req,
-        deadline,
-        state.parallelism,
-        table.as_deref(),
-        Some(&dag),
-    ) {
-        Ok(outcome) => {
-            match outcome.served {
-                WhatIfServed::Applied => &state.metrics.whatif_applied,
-                WhatIfServed::Explored => &state.metrics.whatif_explored,
-            }
-            .fetch_add(1, Ordering::Relaxed);
-            match serde_json::to_string(&outcome.response) {
-                Ok(json) => (Response::json(200, json), !outcome.response.truncated()),
-                Err(e) => (Response::error(500, &e.to_string()), false),
-            }
-        }
-        Err(e) => {
-            if e.code() == "state-budget" {
-                // Retire the saturated table so the retry the typed 413
-                // invites starts against a fresh one; in-flight requests
-                // holding the old table finish unharmed.
-                tenant.dag().retire();
-            }
-            (engine_error(&e), false)
-        }
-    }
-}
-
-/// [`advise_batch`] behind the same panic firewall as the stream route.
-fn advise_batch_catching_panics<W: Write>(
-    state: &AppState,
-    conn: &mut W,
-    request: &Request,
-) -> u16 {
-    std::panic::catch_unwind(AssertUnwindSafe(|| advise_batch(state, conn, request))).unwrap_or(500)
-}
-
-/// One `{"error":{...}}` value in the typed wire shape, for NDJSON lines.
-fn error_value(
-    code: &str,
-    field: Option<&str>,
-    message: &str,
-    retryable: bool,
-) -> serde_json::Value {
-    let mut fields = vec![("code".to_string(), serde_json::Value::Str(code.to_string()))];
-    if let Some(field) = field {
-        fields.push((
-            "field".to_string(),
-            serde_json::Value::Str(field.to_string()),
-        ));
-    }
-    fields.push((
-        "message".to_string(),
-        serde_json::Value::Str(message.to_string()),
-    ));
-    fields.push(("retryable".to_string(), serde_json::Value::Bool(retryable)));
-    serde_json::Value::Object(fields)
-}
-
-/// `POST /v1/advise/batch`: cohort advising. One shared `(tenant, epoch)`
-/// transposition table warms across every student (their derived
-/// explorations share a memo key by construction), per-student answers
-/// stream back as chunked NDJSON lines.
-fn advise_batch<W: Write>(state: &AppState, conn: &mut W, request: &Request) -> u16 {
-    state
-        .metrics
-        .advise_batch_requests
-        .fetch_add(1, Ordering::Relaxed);
-    let (level, probe) = match state.overload.admit() {
-        Admission::Reject { retry_after } => {
-            let resp = Response::overloaded(retry_after);
-            let status = resp.status;
-            let _ = http::write_response(conn, &resp, false);
-            return status;
-        }
-        Admission::Go { level, probe } => (level, probe),
-    };
-    let t0 = Instant::now();
-    let status = advise_batch_admitted(state, conn, request, level);
-    state.overload.observe(t0.elapsed(), status < 500, probe);
-    status
-}
-
-/// The cohort pipeline for one admitted batch, degraded to `level`. Lines
-/// are `{"student":i,"advise":<response>}` or `{"student":i,"error":{...}}`
-/// (one student's bad transcript never sinks the cohort), closed by one
-/// `{"done":{"students":N,"errors":E,"truncated":bool}}` summary. The
-/// batch bypasses the response cache — the shared memo table is where the
-/// cohort's overlap pays off.
-fn advise_batch_admitted<W: Write>(
-    state: &AppState,
-    conn: &mut W,
-    request: &Request,
-    level: u8,
-) -> u16 {
-    fn fail<W: Write>(conn: &mut W, resp: Response) -> u16 {
-        let status = resp.status;
-        let _ = http::write_response(conn, &resp, false);
-        status
-    }
-    let body = match std::str::from_utf8(&request.body) {
-        Ok(text) => text,
-        Err(_) => {
-            return fail(
-                conn,
-                Response::error_field(400, "invalid-request", "body", "body is not UTF-8", false),
-            )
-        }
-    };
-    let batch = match BatchAdviseRequest::from_json(body) {
-        Ok(batch) => batch,
-        Err(e) => {
-            return fail(
-                conn,
-                Response::error_field(
-                    400,
-                    "invalid-request",
-                    "body",
-                    &format!("bad advise batch request: {e}"),
-                    false,
-                ),
-            )
-        }
-    };
-    if batch.students.is_empty() {
-        return fail(
-            conn,
-            Response::error_field(
-                400,
-                "invalid-request",
-                "students",
-                "at least one student is required",
-                false,
-            ),
-        );
-    }
-    let tenant = match resolve_tenant(state, request, batch.tenant.as_deref()) {
-        Ok(tenant) => tenant,
-        Err(resp) => return fail(conn, *resp),
-    };
-
-    let mut head_headers = vec![("x-cache".to_string(), "bypass".to_string())];
-    if level > 0 {
-        head_headers.push(("x-degraded".to_string(), level.to_string()));
-    }
-    if http::write_chunked_head(conn, 200, "application/x-ndjson", &head_headers).is_err() {
-        // Connection gone before the head went out; the event loop owns
-        // the reset accounting.
-        return 200;
-    }
-
-    let data = Arc::clone(tenant.data());
-    let mut service = NavigatorService::new(&data.catalog);
-    if let Some(degree) = &data.degree {
-        service = service.with_degree(degree);
-    }
-    if let Some(offering) = &data.offering {
-        service = service.with_offering_model(offering);
-    }
-    // Every student in the cohort derives the same memo key (the key masks
-    // transcript-specific state), so one table fetch serves them all —
-    // student 1's subtrees answer student 2's overlapping suffixes.
-    let table = tenant.memo().table_for(&batch.student(0).memo_key());
-
-    let mut errors: u64 = 0;
-    let mut truncated_any = false;
-    for i in 0..batch.students.len() {
-        state
-            .metrics
-            .advise_batch_students
-            .fetch_add(1, Ordering::Relaxed);
-        let mut req = batch.student(i);
-        degrade_advise(state, &mut req, level);
-        // The budget is per student, restarted each iteration: a cohort of
-        // N gets N budgets, not one split N ways.
-        let deadline = req
-            .budget_ms
-            .or(state.default_budget_ms)
-            .map(|ms| Instant::now() + Duration::from_millis(ms));
-        let line = match transcript_status(&tenant, &req.transcript) {
-            Err(e) => {
-                errors += 1;
-                // Re-root the field path at this student's slot in the
-                // batch: `transcript.selections[2]` → `students[4].selections[2]`.
-                let field = format!(
-                    "students[{i}].{}",
-                    e.field().trim_start_matches("transcript.")
-                );
-                serde_json::Value::Object(vec![
-                    (
-                        "student".to_string(),
-                        serde_json::Value::Num(serde_json::Number::U(i as u128)),
-                    ),
-                    (
-                        "error".to_string(),
-                        error_value(e.code(), Some(&field), &e.to_string(), false),
-                    ),
-                ])
-            }
-            Ok(()) => match service.advise_until_memo(
-                &req,
-                None,
-                deadline,
-                state.parallelism,
-                table.as_deref(),
-            ) {
-                Ok(outcome) => {
-                    if outcome.response.truncated {
-                        truncated_any = true;
-                    }
-                    serde_json::Value::Object(vec![
-                        (
-                            "student".to_string(),
-                            serde_json::Value::Num(serde_json::Number::U(i as u128)),
-                        ),
-                        (
-                            "advise".to_string(),
-                            serde_json::to_value(&outcome.response),
-                        ),
-                    ])
-                }
-                Err(e) => {
-                    errors += 1;
-                    serde_json::Value::Object(vec![
-                        (
-                            "student".to_string(),
-                            serde_json::Value::Num(serde_json::Number::U(i as u128)),
-                        ),
-                        (
-                            "error".to_string(),
-                            error_value(e.code(), None, &e.to_string(), e.retryable()),
-                        ),
-                    ])
-                }
-            },
-        };
-        let mut bytes = serde_json::to_string(&line)
-            .unwrap_or_default()
-            .into_bytes();
-        bytes.push(b'\n');
-        if http::write_chunk(conn, &bytes).is_err() {
-            // Connection gone mid-cohort; the event loop owns the reset
-            // accounting.
-            return 200;
-        }
-    }
-    let done = serde_json::Value::Object(vec![(
-        "done".to_string(),
-        serde_json::Value::Object(vec![
-            (
-                "students".to_string(),
-                serde_json::Value::Num(serde_json::Number::U(batch.students.len() as u128)),
-            ),
-            (
-                "errors".to_string(),
-                serde_json::Value::Num(serde_json::Number::U(u128::from(errors))),
-            ),
-            (
-                "truncated".to_string(),
-                serde_json::Value::Bool(truncated_any),
-            ),
-        ]),
-    )]);
-    let mut bytes = serde_json::to_string(&done)
-        .unwrap_or_default()
-        .into_bytes();
-    bytes.push(b'\n');
-    let _ = http::write_chunk(conn, &bytes);
-    let _ = http::finish_chunks(conn);
-    200
 }
 
 #[cfg(test)]

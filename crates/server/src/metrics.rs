@@ -158,6 +158,7 @@ pub fn route_label(path: &str) -> &'static str {
 
 /// A fixed-bucket log2-millisecond latency histogram. Lock-free: every
 /// field is an independent relaxed atomic, like the flat counters.
+#[derive(Default)]
 pub struct Histogram {
     buckets: [AtomicU64; HISTOGRAM_BUCKETS],
     count: AtomicU64,
@@ -165,15 +166,6 @@ pub struct Histogram {
 }
 
 impl Histogram {
-    /// An empty histogram.
-    pub fn new() -> Histogram {
-        Histogram {
-            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-            count: AtomicU64::new(0),
-            sum_ms: AtomicU64::new(0),
-        }
-    }
-
     /// Records one sample.
     pub fn observe(&self, elapsed: Duration) {
         let ms = elapsed.as_millis() as u64;
@@ -196,17 +188,43 @@ impl Histogram {
     }
 }
 
-impl Default for Histogram {
-    fn default() -> Histogram {
-        Histogram::new()
+/// Adds one to a relaxed counter.
+pub fn bump(counter: &AtomicU64) {
+    counter.fetch_add(1, Ordering::Relaxed);
+}
+
+/// The counters every buffered engine route keeps, whatever its workload.
+#[derive(Default)]
+pub struct RouteCounters {
+    /// Requests served (cache hits included).
+    pub requests: AtomicU64,
+    /// Answers served from the response cache.
+    pub cache_hits: AtomicU64,
+    /// Answers that ran the engine.
+    pub computed: AtomicU64,
+    /// Answers taken from another worker's in-flight computation
+    /// (singleflight followers).
+    pub coalesced: AtomicU64,
+    /// Cumulative milliseconds followers spent waiting on a leader.
+    pub wait_ms: AtomicU64,
+}
+
+/// The instant a [`Metrics`] block was created: its uptime origin.
+struct Started(Instant);
+
+impl Default for Started {
+    fn default() -> Started {
+        Started(Instant::now())
     }
 }
 
-/// Counter block shared by every worker. All increments are `Relaxed` —
-/// each counter is independent, and `/metrics` only needs a consistent
-/// *enough* view, not a cross-counter snapshot.
+/// Counter block shared by every worker; `default()` starts the uptime
+/// clock. All increments are `Relaxed` — each counter is independent, and
+/// `/metrics` only needs a consistent *enough* view, not a cross-counter
+/// snapshot.
+#[derive(Default)]
 pub struct Metrics {
-    started: Instant,
+    started: Started,
     /// Connections accepted and handed to a worker.
     pub connections_accepted: AtomicU64,
     /// Connections refused with 503 because the queue was full
@@ -220,40 +238,24 @@ pub struct Metrics {
     pub connections_reset: AtomicU64,
     /// Requests fully parsed and routed.
     pub requests_total: AtomicU64,
-    /// `POST /explore` requests served (cache hits included).
-    pub explore_requests: AtomicU64,
-    /// Explorations answered from the response cache.
-    pub explore_cache_hits: AtomicU64,
-    /// Explorations that ran the engine.
-    pub explore_computed: AtomicU64,
+    /// `/v1/explore` counters: requests served (stream included), cache
+    /// hits, engine runs, singleflight followers and their wait.
+    pub explore: RouteCounters,
     /// Explorations cut short by their wall-clock deadline.
     pub explore_truncated: AtomicU64,
-    /// Explorations answered by another worker's in-flight computation
-    /// (singleflight followers).
-    pub explore_coalesced: AtomicU64,
-    /// Cumulative milliseconds followers spent waiting on a leader.
-    pub explore_wait_ms: AtomicU64,
     /// Pages served to cursor-carrying or page-sized requests (the
     /// resumable-session path, which bypasses the cache).
     pub explore_paged: AtomicU64,
     /// Explorations streamed as NDJSON over `POST /v1/explore/stream`.
     pub explore_streamed: AtomicU64,
-    /// `POST /v1/advise` requests served (cache hits included).
-    pub advise_requests: AtomicU64,
-    /// Advising answers served from the response cache.
-    pub advise_cache_hits: AtomicU64,
-    /// Advising answers that ran the engine.
-    pub advise_computed: AtomicU64,
+    /// `/v1/advise` counters, shaped like [`Metrics::explore`].
+    pub advise: RouteCounters,
     /// `POST /v1/advise/batch` cohort requests served.
     pub advise_batch_requests: AtomicU64,
     /// Individual students advised across every batch request.
     pub advise_batch_students: AtomicU64,
-    /// `POST /v1/whatif` requests served (cache hits included).
-    pub whatif_requests: AtomicU64,
-    /// What-ifs answered from the response cache.
-    pub whatif_cache_hits: AtomicU64,
-    /// What-ifs that ran the engine.
-    pub whatif_computed: AtomicU64,
+    /// `/v1/whatif` counters, shaped like [`Metrics::explore`].
+    pub whatif: RouteCounters,
     /// What-ifs answered by set-algebraic apply over the shared path DAG.
     pub whatif_applied: AtomicU64,
     /// What-ifs answered by ordinary exploration of the merged request
@@ -273,40 +275,6 @@ pub struct Metrics {
 }
 
 impl Metrics {
-    /// Fresh counters; the uptime clock starts now.
-    pub fn new() -> Metrics {
-        Metrics {
-            started: Instant::now(),
-            connections_accepted: AtomicU64::new(0),
-            connections_shed: AtomicU64::new(0),
-            connections_reset: AtomicU64::new(0),
-            requests_total: AtomicU64::new(0),
-            explore_requests: AtomicU64::new(0),
-            explore_cache_hits: AtomicU64::new(0),
-            explore_computed: AtomicU64::new(0),
-            explore_truncated: AtomicU64::new(0),
-            explore_coalesced: AtomicU64::new(0),
-            explore_wait_ms: AtomicU64::new(0),
-            explore_paged: AtomicU64::new(0),
-            explore_streamed: AtomicU64::new(0),
-            advise_requests: AtomicU64::new(0),
-            advise_cache_hits: AtomicU64::new(0),
-            advise_computed: AtomicU64::new(0),
-            advise_batch_requests: AtomicU64::new(0),
-            advise_batch_students: AtomicU64::new(0),
-            whatif_requests: AtomicU64::new(0),
-            whatif_cache_hits: AtomicU64::new(0),
-            whatif_computed: AtomicU64::new(0),
-            whatif_applied: AtomicU64::new(0),
-            whatif_explored: AtomicU64::new(0),
-            client_errors: AtomicU64::new(0),
-            server_errors: AtomicU64::new(0),
-            latency: std::array::from_fn(|_| Histogram::new()),
-            deprecated_hits: std::array::from_fn(|_| AtomicU64::new(0)),
-            event: Arc::new(EventLoopGauges::default()),
-        }
-    }
-
     /// Counts one request to a deprecated surface (a [`DEPRECATED_ROUTES`]
     /// path). Unknown paths are ignored — callers pass the request path
     /// verbatim.
@@ -336,45 +304,38 @@ impl Metrics {
         self.latency[idx].observe(elapsed);
     }
 
-    /// A serializable point-in-time view, merged with the registry's
-    /// aggregated cache/memo stats, the per-tenant breakdowns, and the
-    /// session store's and overload controller's stats.
-    #[allow(clippy::too_many_arguments)] // one call site, in Server::metrics
-    pub fn snapshot(
-        &self,
-        cache: CacheStats,
-        memo: MemoRegistrySnapshot,
-        sessions: SessionStats,
-        overload: OverloadSnapshot,
-        tenants: Vec<TenantSnapshot>,
-        snapshot: SnapshotStats,
-        unique_table: DagStoreSnapshot,
-        invalidate_tenant_requests: u64,
-        invalidate_global_requests: u64,
-    ) -> MetricsSnapshot {
+    /// A serializable point-in-time view of these counters. The blocks
+    /// other components own (cache, memo, sessions, overload, tenants,
+    /// snapshots, path DAGs, invalidations) are left at their defaults for
+    /// the server to fill in.
+    pub fn snapshot(&self) -> MetricsSnapshot {
         let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
         MetricsSnapshot {
-            uptime_ms: self.started.elapsed().as_millis() as u64,
+            uptime_ms: self.started.0.elapsed().as_millis() as u64,
             connections_accepted: load(&self.connections_accepted),
             connections_shed: load(&self.connections_shed),
             connections_reset: load(&self.connections_reset),
             requests_total: load(&self.requests_total),
-            explore_requests: load(&self.explore_requests),
-            explore_cache_hits: load(&self.explore_cache_hits),
-            explore_computed: load(&self.explore_computed),
+            explore_requests: load(&self.explore.requests),
+            explore_cache_hits: load(&self.explore.cache_hits),
+            explore_computed: load(&self.explore.computed),
             explore_truncated: load(&self.explore_truncated),
-            explore_coalesced: load(&self.explore_coalesced),
-            explore_wait_ms: load(&self.explore_wait_ms),
+            explore_coalesced: load(&self.explore.coalesced),
+            explore_wait_ms: load(&self.explore.wait_ms),
             explore_paged: load(&self.explore_paged),
             explore_streamed: load(&self.explore_streamed),
-            advise_requests: load(&self.advise_requests),
-            advise_cache_hits: load(&self.advise_cache_hits),
-            advise_computed: load(&self.advise_computed),
+            advise_requests: load(&self.advise.requests),
+            advise_cache_hits: load(&self.advise.cache_hits),
+            advise_computed: load(&self.advise.computed),
+            advise_coalesced: load(&self.advise.coalesced),
+            advise_wait_ms: load(&self.advise.wait_ms),
             advise_batch_requests: load(&self.advise_batch_requests),
             advise_batch_students: load(&self.advise_batch_students),
-            whatif_requests: load(&self.whatif_requests),
-            whatif_cache_hits: load(&self.whatif_cache_hits),
-            whatif_computed: load(&self.whatif_computed),
+            whatif_requests: load(&self.whatif.requests),
+            whatif_cache_hits: load(&self.whatif.cache_hits),
+            whatif_computed: load(&self.whatif.computed),
+            whatif_coalesced: load(&self.whatif.coalesced),
+            whatif_wait_ms: load(&self.whatif.wait_ms),
             whatif_applied: load(&self.whatif_applied),
             whatif_explored: load(&self.whatif_explored),
             client_errors: load(&self.client_errors),
@@ -393,27 +354,13 @@ impl Metrics {
                 })
                 .collect(),
             event_loop: self.event.snapshot(),
-            cache,
-            memo,
-            sessions,
-            overload,
-            tenants,
-            snapshot,
-            unique_table,
-            invalidate_tenant_requests,
-            invalidate_global_requests,
+            ..MetricsSnapshot::default()
         }
     }
 }
 
-impl Default for Metrics {
-    fn default() -> Metrics {
-        Metrics::new()
-    }
-}
-
 /// One route's latency distribution as `GET /metrics` serializes it.
-#[derive(Debug, Clone, serde::Serialize)]
+#[derive(Debug, Clone, Default, serde::Serialize)]
 #[serde(rename_all = "kebab-case")]
 pub struct HistogramSnapshot {
     /// The route this histogram covers (a [`ROUTES`] member).
@@ -439,7 +386,7 @@ pub struct DeprecatedRouteHits {
 }
 
 /// What `GET /metrics` serializes.
-#[derive(Debug, Clone, serde::Serialize)]
+#[derive(Debug, Clone, Default, serde::Serialize)]
 #[serde(rename_all = "kebab-case")]
 pub struct MetricsSnapshot {
     /// Milliseconds since the server started.
@@ -475,6 +422,10 @@ pub struct MetricsSnapshot {
     pub advise_cache_hits: u64,
     /// Advising answers that ran the engine.
     pub advise_computed: u64,
+    /// Advising answers served by another worker's in-flight computation.
+    pub advise_coalesced: u64,
+    /// Cumulative milliseconds advising followers spent waiting on a leader.
+    pub advise_wait_ms: u64,
     /// `POST /v1/advise/batch` cohort requests served.
     pub advise_batch_requests: u64,
     /// Individual students advised across every batch request.
@@ -485,6 +436,10 @@ pub struct MetricsSnapshot {
     pub whatif_cache_hits: u64,
     /// What-ifs that ran the engine.
     pub whatif_computed: u64,
+    /// What-ifs served by another worker's in-flight computation.
+    pub whatif_coalesced: u64,
+    /// Cumulative milliseconds what-if followers spent waiting on a leader.
+    pub whatif_wait_ms: u64,
     /// What-ifs answered by set-algebraic apply over the shared path DAG.
     pub whatif_applied: u64,
     /// What-ifs answered by ordinary exploration of the merged request.
@@ -532,22 +487,12 @@ mod tests {
 
     #[test]
     fn snapshot_reflects_counters() {
-        let m = Metrics::new();
+        let m = Metrics::default();
         m.requests_total.fetch_add(3, Ordering::Relaxed);
         m.count_status(200);
         m.count_status(404);
         m.count_status(500);
-        let snap = m.snapshot(
-            CacheStats::default(),
-            MemoRegistrySnapshot::default(),
-            SessionStats::default(),
-            OverloadSnapshot::default(),
-            Vec::new(),
-            SnapshotStats::default(),
-            DagStoreSnapshot::default(),
-            0,
-            0,
-        );
+        let snap = m.snapshot();
         assert_eq!(snap.requests_total, 3);
         assert_eq!(snap.client_errors, 1);
         assert_eq!(snap.server_errors, 1);
@@ -555,19 +500,8 @@ mod tests {
 
     #[test]
     fn snapshot_serializes_with_kebab_keys() {
-        let m = Metrics::new();
-        let json = serde_json::to_string(&m.snapshot(
-            CacheStats::default(),
-            MemoRegistrySnapshot::default(),
-            SessionStats::default(),
-            OverloadSnapshot::default(),
-            Vec::new(),
-            SnapshotStats::default(),
-            DagStoreSnapshot::default(),
-            0,
-            0,
-        ))
-        .unwrap();
+        let m = Metrics::default();
+        let json = serde_json::to_string(&m.snapshot()).unwrap();
         assert!(json.contains("\"explore-cache-hits\":0"), "{json}");
         assert!(json.contains("\"explore-coalesced\":0"), "{json}");
         assert!(json.contains("\"explore-wait-ms\":0"), "{json}");
@@ -591,6 +525,10 @@ mod tests {
         assert!(json.contains("\"advise-batch-students\":0"), "{json}");
         assert!(json.contains("\"whatif-requests\":0"), "{json}");
         assert!(json.contains("\"whatif-applied\":0"), "{json}");
+        assert!(json.contains("\"advise-coalesced\":0"), "{json}");
+        assert!(json.contains("\"advise-wait-ms\":0"), "{json}");
+        assert!(json.contains("\"whatif-coalesced\":0"), "{json}");
+        assert!(json.contains("\"whatif-wait-ms\":0"), "{json}");
         assert!(json.contains("\"unique-table\":{"), "{json}");
         assert!(json.contains("\"hash-cons-hits\":0"), "{json}");
         assert!(json.contains("\"tables-retired\":0"), "{json}");
@@ -600,22 +538,12 @@ mod tests {
 
     #[test]
     fn deprecated_hits_are_counted_per_route() {
-        let m = Metrics::new();
+        let m = Metrics::default();
         m.count_deprecated("/explore");
         m.count_deprecated("/explore");
         m.count_deprecated("/v1/cache/invalidate");
         m.count_deprecated("/v1/explore"); // not deprecated: ignored
-        let snap = m.snapshot(
-            CacheStats::default(),
-            MemoRegistrySnapshot::default(),
-            SessionStats::default(),
-            OverloadSnapshot::default(),
-            Vec::new(),
-            SnapshotStats::default(),
-            DagStoreSnapshot::default(),
-            0,
-            0,
-        );
+        let snap = m.snapshot();
         let hits = |route: &str| {
             snap.deprecated_route_hits
                 .iter()
@@ -648,23 +576,13 @@ mod tests {
 
     #[test]
     fn latency_is_recorded_under_the_right_route() {
-        let m = Metrics::new();
+        let m = Metrics::default();
         // Prefixed and unprefixed spellings account to the same route.
         m.observe_latency("/v1/explore", Duration::from_millis(5));
         m.observe_latency("/explore", Duration::from_millis(900));
         m.observe_latency("/nope", Duration::from_millis(1));
         m.observe_latency("/v1/explore/stream", Duration::from_millis(2));
-        let snap = m.snapshot(
-            CacheStats::default(),
-            MemoRegistrySnapshot::default(),
-            SessionStats::default(),
-            OverloadSnapshot::default(),
-            Vec::new(),
-            SnapshotStats::default(),
-            DagStoreSnapshot::default(),
-            0,
-            0,
-        );
+        let snap = m.snapshot();
         let explore = snap.latency.iter().find(|h| h.route == "explore").unwrap();
         assert_eq!(explore.count, 2);
         assert_eq!(explore.sum_ms, 905);

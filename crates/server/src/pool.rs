@@ -125,7 +125,7 @@ pub fn spawn(threads: usize, depth_gauge: Arc<AtomicU64>) -> Pool {
                         depth_gauge.fetch_sub(1, Ordering::Relaxed);
                     }
                     // Handler panics are caught at the dispatch layer
-                    // (`*_catching_panics`); a stray one must not kill
+                    // (`routes::run_request`); a stray one must not kill
                     // the worker.
                     let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(job));
                 })

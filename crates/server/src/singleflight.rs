@@ -8,7 +8,8 @@
 //! workers with the same key become **followers** and block on the
 //! leader's completion instead of recomputing.
 //!
-//! Protocol (the caller is `/explore` in `lib.rs`):
+//! Protocol (the caller is the buffered driver in `routes/buffered.rs`,
+//! for `/v1/explore`, `/v1/advise` and `/v1/whatif` alike):
 //!
 //! 1. [`Singleflight::begin`] under a key returns [`Role::Leader`] for the
 //!    first caller and [`Role::Follower`] for everyone who arrives while

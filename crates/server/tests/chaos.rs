@@ -491,6 +491,125 @@ fn always_panicking_workers_answer_500_and_never_wedge_singleflight() {
     });
 }
 
+/// The fault-free answer for `json` on `path`, from a pristine server with
+/// memoization disabled, normalized for comparison.
+fn reference_on(path: &str, json: &str) -> String {
+    let server = Server::start(
+        ServerConfig {
+            memo_entries: 0,
+            ..ServerConfig::default()
+        },
+        brandeis_cs(),
+    )
+    .expect("reference server");
+    let resp = roundtrip(server.local_addr(), "POST", path, Some(json)).expect("reference");
+    assert_eq!(resp.status, 200, "{}", resp.text());
+    let answer = normalized(resp.text());
+    server.shutdown();
+    answer
+}
+
+#[test]
+fn advise_and_whatif_worker_panics_answer_500_and_the_pool_survives() {
+    with_watchdog("advise/whatif panics", Duration::from_secs(90), || {
+        // Half of all engine runs panic before computing. Advising and
+        // what-if share explore's compute step, so their leaders abandon
+        // flights and answer typed 500s exactly as explore's do, while
+        // every answer that does arrive is the fault-free one.
+        let plan = Arc::new(FaultPlan::new(0xAD515E).with(FaultSite::PanicBeforeCompute, 500));
+        let server = Server::start(
+            ServerConfig {
+                threads: 4,
+                faults: Arc::clone(&plan),
+                ..ServerConfig::default()
+            },
+            brandeis_cs(),
+        )
+        .expect("start chaos server");
+        let addr = server.local_addr();
+
+        // Distinct cache keys, so panics keep firing after the first
+        // success of any one shape is cached.
+        let mut requests = Vec::new();
+        for k in 1..=3 {
+            let advise = format!(
+                r#"{{"transcript":{{"start":"Fall 2012","selections":[["COSI 10A","COSI 11A","COSI 29A"]]}},"deadline":"Fall 2014","goal":"degree","k":{k}}}"#
+            );
+            requests.push(("/v1/advise", advise));
+        }
+        let base = count_request().to_json().unwrap();
+        for avoid in ["COSI 12B", "COSI 21A", "COSI 29A"] {
+            let whatif = format!(r#"{{"base":{base},"delta":{{"avoid":["{avoid}"]}}}}"#);
+            requests.push(("/v1/whatif", whatif));
+        }
+        let references: Vec<String> = requests
+            .iter()
+            .map(|(path, json)| reference_on(path, json))
+            .collect();
+
+        let failed = std::sync::atomic::AtomicU64::new(0);
+        std::thread::scope(|scope| {
+            for client in 0..4 {
+                let (requests, references, failed) = (&requests, &references, &failed);
+                scope.spawn(move || {
+                    for round in 0..3 {
+                        for step in 0..requests.len() {
+                            let i = (step + client + round) % requests.len();
+                            let (path, json) = &requests[i];
+                            let resp = roundtrip(addr, "POST", path, Some(json))
+                                .expect("a buffered answer, not a hang");
+                            assert!(resp.complete, "torn without a reset fault");
+                            match resp.status {
+                                200 => assert_eq!(
+                                    normalized(resp.text()),
+                                    references[i],
+                                    "{path} answered differently under faults"
+                                ),
+                                500 => {
+                                    assert!(
+                                        resp.text().contains("\"code\":\"internal\""),
+                                        "untyped 500: {}",
+                                        resp.text()
+                                    );
+                                    failed.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                                }
+                                other => panic!("{path} answered {other}: {}", resp.text()),
+                            }
+                        }
+                    }
+                });
+            }
+        });
+
+        let failed = failed.load(std::sync::atomic::Ordering::Relaxed);
+        assert!(failed > 0, "the panic site never fired on advise/what-if");
+        assert!(plan.arrivals(FaultSite::PanicBeforeCompute) >= failed);
+        let snapshot = server.metrics();
+        assert_eq!(snapshot.server_errors, failed, "every panic answered 500");
+        assert!(snapshot.advise_computed > 0 && snapshot.whatif_computed > 0);
+        // The worker pool survived every panic.
+        let health = roundtrip(addr, "GET", "/v1/healthz", None).expect("pool alive");
+        assert_eq!(health.status, 200);
+        for (i, (path, json)) in requests.iter().enumerate() {
+            let resp = retry_until_200(addr, path, json);
+            assert_eq!(normalized(resp.text()), references[i], "{path}");
+        }
+        server.shutdown();
+    });
+}
+
+/// Retries a request until it is not a chaos 500.
+fn retry_until_200(addr: std::net::SocketAddr, path: &str, json: &str) -> WireResponse {
+    for _ in 0..64 {
+        let resp = roundtrip(addr, "POST", path, Some(json)).expect("served");
+        if resp.status == 200 {
+            return resp;
+        }
+        assert_eq!(resp.status, 500, "{}", resp.text());
+    }
+    panic!("{path} never answered 200");
+}
+
 #[test]
 fn dropped_cache_puts_cost_recompute_never_wrong_bytes() {
     with_watchdog("drop-put", Duration::from_secs(60), || {

@@ -639,21 +639,7 @@ fn stampede_of_identical_cold_requests_computes_once() {
     let json = req.to_json().unwrap();
 
     const N: usize = 8;
-    let barrier = std::sync::Barrier::new(N);
-    let results: Vec<(u16, Option<String>, String)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..N)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut client = Client::connect(addr);
-                    barrier.wait();
-                    let resp = client.send("POST", "/v1/explore", Some(&json));
-                    let cache = resp.header("x-cache").map(str::to_string);
-                    (resp.status, cache, resp.body)
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
-    });
+    let results = stampede(addr, "/v1/explore", &json, N);
 
     // All 200, and followers share the leader's response *verbatim* —
     // byte-identical bodies, timing metadata included.
@@ -705,7 +691,83 @@ fn stampede_of_identical_cold_requests_computes_once() {
         "bucket sum equals observation count"
     );
 
+    // Advising and what-if ride the same pipeline: a stampede on either
+    // computes once, and the followers are counted on the route's own
+    // coalescing counters. The what-if avoids a course, so its key (the
+    // merged exploration's) differs from the explore request above.
+    let advise = r#"{"transcript":{"start":"Fall 2012","selections":[["COSI 10A","COSI 11A","COSI 29A"]]},
+        "deadline":"Spring 2015","goal":"degree","k":2}"#;
+    let whatif = format!("{{\"base\":{json},\"delta\":{{\"avoid\":[\"COSI 12B\"]}}}}");
+    for (path, body, route) in [
+        ("/v1/advise", advise, "advise"),
+        ("/v1/whatif", &whatif, "whatif"),
+    ] {
+        let results = stampede(addr, path, body, N);
+        for (status, _, body) in &results {
+            assert_eq!(*status, 200, "{route}: {body}");
+        }
+        for (_, _, body) in &results[1..] {
+            assert_eq!(
+                body, &results[0].2,
+                "{route} followers reuse the leader's bytes"
+            );
+        }
+        let tally = |want: &str| {
+            results
+                .iter()
+                .filter(|(_, cache, _)| cache.as_deref() == Some(want))
+                .count()
+        };
+        assert_eq!(
+            (tally("miss"), tally("coalesced"), tally("hit")),
+            (1, N - 1, 0),
+            "{route}"
+        );
+        let metrics = fetch_metrics(addr);
+        assert_eq!(
+            metrics[format!("{route}-computed").as_str()].as_u64(),
+            Some(1),
+            "{metrics:?}"
+        );
+        assert_eq!(
+            metrics[format!("{route}-coalesced").as_str()].as_u64(),
+            Some((N - 1) as u64),
+            "{metrics:?}"
+        );
+        assert!(
+            metrics[format!("{route}-wait-ms").as_str()]
+                .as_u64()
+                .is_some(),
+            "{metrics:?}"
+        );
+    }
+
     server.shutdown();
+}
+
+/// Sends `n` identical requests to `path` at once, one connection each,
+/// released together by a barrier; returns each (status, x-cache, body).
+fn stampede(
+    addr: std::net::SocketAddr,
+    path: &str,
+    json: &str,
+    n: usize,
+) -> Vec<(u16, Option<String>, String)> {
+    let barrier = std::sync::Barrier::new(n);
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..n)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut client = Client::connect(addr);
+                    barrier.wait();
+                    let resp = client.send("POST", path, Some(json));
+                    let cache = resp.header("x-cache").map(str::to_string);
+                    (resp.status, cache, resp.body)
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    })
 }
 
 /// Replaces every `millis` field (timing metadata) with zero so response
@@ -1144,5 +1206,42 @@ fn streamed_pages_resume_with_the_next_cursor() {
         serde_json::to_string(&unpaged_value["paths"]["paths"]).unwrap(),
         "stream page + buffered pages concatenate to the unpaged answer"
     );
+    server.shutdown();
+}
+
+#[test]
+fn refused_requests_never_count_as_engine_runs() {
+    let server = start_default();
+    let addr = server.local_addr();
+
+    // A malformed stream body is refused before the engine runs.
+    let resp = Client::connect(addr).send("POST", "/v1/explore/stream", Some("{not json"));
+    assert_eq!(resp.status, 400, "{}", resp.body);
+
+    // So is a forged cursor, buffered or streamed.
+    let mut req = count_request();
+    req.page_size = Some(5);
+    req.cursor = Some("cn1.0000000000000000.ffffffffffffffff".to_string());
+    let json = req.to_json().unwrap();
+    for path in ["/v1/explore", "/v1/explore/stream"] {
+        let resp = Client::connect(addr).send("POST", path, Some(&json));
+        assert_eq!(resp.status, 400, "{path}: {}", resp.body);
+        assert!(resp.body.contains("\"invalid-cursor\""), "{}", resp.body);
+    }
+
+    let metrics = fetch_metrics(addr);
+    assert_eq!(metrics["explore-requests"].as_u64(), Some(3), "{metrics:?}");
+    assert_eq!(
+        metrics["explore-computed"].as_u64(),
+        Some(0),
+        "refusals are not engine runs: {metrics:?}"
+    );
+
+    // A real page is one engine run.
+    req.cursor = None;
+    let resp = Client::connect(addr).send("POST", "/v1/explore", Some(&req.to_json().unwrap()));
+    assert_eq!(resp.status, 200, "{}", resp.body);
+    assert_eq!(fetch_metrics(addr)["explore-computed"].as_u64(), Some(1));
+
     server.shutdown();
 }
