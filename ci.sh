@@ -93,7 +93,9 @@ cargo test -q -p coursenav-server --test tenants
 echo "==> cargo test (chaos suite)"
 # Fault-injection sites only exist behind the server's `chaos` feature;
 # plans are seeded, so the fault schedules are identical on every run.
-cargo test -q -p coursenav-server --features chaos --test chaos
+# probe_chaos panics the event loop's cache probe and checks the loop
+# answers 500 and keeps serving.
+cargo test -q -p coursenav-server --features chaos --test chaos --test probe_chaos
 
 echo "==> perfbench tests (loopback benchmark plans + smoke run against the replay)"
 # The benchmark's in-process replay calls the server's public layer
@@ -102,6 +104,9 @@ echo "==> perfbench tests (loopback benchmark plans + smoke run against the repl
 # against that replay, so a serving-layer change that breaks either side
 # fails here. perfbench is its own cargo workspace.
 cargo test --release --manifest-path perfbench/Cargo.toml
+
+echo "==> cargo doc (rustdoc warnings, broken intra-doc links included, fail the build)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 echo "==> cargo clippy"
 cargo clippy --workspace --all-targets -- -D warnings

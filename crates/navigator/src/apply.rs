@@ -211,24 +211,56 @@ impl FoldAcc {
 
 const SLOT_WORDS: usize = 8;
 
+/// The largest memo buffer (in words) a thread keeps between folds:
+/// 2 MiB, enough for about 32k ids. Every worker thread keeps its own,
+/// so the cap bounds what the reuse adds to the server's resident set;
+/// a fold over a larger table allocates its own buffer and frees it
+/// afterwards.
+const RETAINED_WORDS: usize = 1 << 18;
+
 /// Dense id-indexed memo for the restriction fold: one cache line (eight
 /// words: paths, goal paths, four counters) per visible id, probed with a
 /// single random access. The fold touches a large fraction of the table,
 /// so a flat probe beats both hashing a key per node and a two-level
-/// slot→result indirection. The backing vector is requested zero-filled —
-/// the allocator serves untouched zero pages, so even a what-if that
-/// short-circuits immediately pays nothing for a table-sized memo. An
-/// all-zero line means "unvisited": no fold result is all-zero except the
-/// empty path set's, which is trivial to recompute on every probe.
+/// slot→result indirection. An all-zero line means "unvisited": no fold
+/// result is all-zero except the empty path set's, which is trivial to
+/// recompute on every probe.
+///
+/// A zeroed table-sized buffer per fold is not free: zeroing 1.2 MB
+/// (about 19k ids) costs tens of microseconds, and once the allocator
+/// hands the freed chunk back to the system, the next fold faults it in
+/// again. So each thread keeps one buffer between folds
+/// ([`FoldMemo::with`]), and a fold re-zeroes only the lines it wrote.
+#[derive(Default)]
 struct FoldMemo {
     words: Vec<u64>,
+    /// Ids whose line was written, re-zeroed when the fold ends.
+    touched: Vec<DagNodeId>,
 }
 
 impl FoldMemo {
-    fn new(id_bound: usize) -> FoldMemo {
-        FoldMemo {
-            words: vec![0u64; id_bound * SLOT_WORDS],
+    /// Runs `fold` over this thread's memo, all-zero and sized for ids
+    /// below `id_bound`.
+    fn with<R>(id_bound: usize, fold: impl FnOnce(&mut FoldMemo) -> R) -> R {
+        thread_local! {
+            static SPARE: std::cell::RefCell<FoldMemo> = std::cell::RefCell::default();
         }
+        // Taken rather than borrowed: a fold that panics drops its dirty
+        // buffer instead of leaving it for the next fold.
+        let mut memo = SPARE.with(|spare| spare.take());
+        let len = id_bound * SLOT_WORDS;
+        if memo.words.len() < len {
+            memo.words = vec![0; len];
+        }
+        let out = fold(&mut memo);
+        for id in memo.touched.drain(..) {
+            let at = id.raw() * SLOT_WORDS;
+            memo.words[at..at + SLOT_WORDS].fill(0);
+        }
+        if memo.words.len() <= RETAINED_WORDS {
+            SPARE.with(|spare| spare.replace(memo));
+        }
+        out
     }
 
     #[inline]
@@ -252,6 +284,7 @@ impl FoldMemo {
     fn put(&mut self, id: DagNodeId, acc: &FoldAcc) {
         let at = id.raw() * SLOT_WORDS;
         let w: &mut [u64; SLOT_WORDS] = (&mut self.words[at..at + SLOT_WORDS]).try_into().unwrap();
+        self.touched.push(id);
         w[0] = acc.paths as u64;
         w[1] = (acc.paths >> 64) as u64;
         w[2] = acc.goal_paths as u64;
@@ -519,23 +552,24 @@ impl UniqueTable {
         // The fold never interns, so it reads through a whole-table view:
         // one lock acquisition per shard instead of one per node visit.
         let view = self.view();
-        let mut memo = FoldMemo::new(view.id_bound());
-        let out = if remaining.is_empty() {
-            self.fold_restrict(&view, root, catalog, restriction, &mut memo)
-                .into_counts()
-        } else {
-            let mut forced: FxMap<(DagNodeId, CourseSet), Option<FoldAcc>> = FxMap::default();
-            self.fold_forced(
-                &view,
-                root,
-                remaining,
-                catalog,
-                restriction,
-                &mut forced,
-                &mut memo,
-            )
-            .map_or((0, 0, ExploreStats::default()), FoldAcc::into_counts)
-        };
+        let out = FoldMemo::with(view.id_bound(), |memo| {
+            if remaining.is_empty() {
+                self.fold_restrict(&view, root, catalog, restriction, memo)
+                    .into_counts()
+            } else {
+                let mut forced: FxMap<(DagNodeId, CourseSet), Option<FoldAcc>> = FxMap::default();
+                self.fold_forced(
+                    &view,
+                    root,
+                    remaining,
+                    catalog,
+                    restriction,
+                    &mut forced,
+                    memo,
+                )
+                .map_or((0, 0, ExploreStats::default()), FoldAcc::into_counts)
+            }
+        });
         drop(view);
         self.fold_put(key, out);
         out

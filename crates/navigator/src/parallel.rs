@@ -13,7 +13,7 @@
 //! - counts and statistics merge by addition;
 //! - collected paths concatenate in child order = DFS order;
 //! - ranked top-k subtree searches are seeded with the root edge's cost
-//!   ([`Explorer::ranked_search_seeded`]) so cost accumulation is the
+//!   (`Explorer::ranked_search_seeded`) so cost accumulation is the
 //!   same left-to-right fold as sequential (bit-identical floats), and a
 //!   stable merge by cost reproduces the sequential (cost, tree-rank)
 //!   pop order.

@@ -17,7 +17,7 @@
 //! The tree-rank tie-break (rather than global insertion FIFO) makes the
 //! order *composable*: the pop order restricted to any first-level subtree
 //! equals that subtree's own search order, so `parallel.rs` can search
-//! subtrees independently (seeded via [`Explorer::ranked_search_seeded`])
+//! subtrees independently (seeded via `Explorer::ranked_search_seeded`)
 //! and merge by (cost, child index) into the exact sequential answer.
 //!
 //! [`Explorer::top_k_by_enumeration`] is the brute-force baseline

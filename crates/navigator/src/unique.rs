@@ -18,7 +18,7 @@
 //! without descending into them.
 //!
 //! Structure of the table mirrors the classic BDD unique table: nodes live
-//! in sharded append-only arenas (the low [`SHARD_BITS`] bits of a
+//! in sharded append-only arenas (the low `SHARD_BITS` bits of a
 //! [`DagNodeId`] select the shard, so interning contends per-shard, not
 //! globally), an intern index per shard maps structural hashes to candidate
 //! ids, and a shared pair-keyed apply cache memoizes `crate::apply`

@@ -22,6 +22,7 @@
 //! so the serving layer caches a no-force what-if under the merged
 //! request's ordinary cache key, shared with `/v1/explore`.
 
+use std::ops::Deref;
 use std::time::Instant;
 
 use serde::{Deserialize, Serialize};
@@ -215,6 +216,21 @@ impl NavigatorService<'_> {
         memo: Option<&TranspositionTable>,
         unique: Option<&UniqueTable>,
     ) -> Result<WhatIfOutcome, ServiceError> {
+        self.whatif_until_lazy(req, deadline, parallelism, || memo, unique)
+    }
+
+    /// [`NavigatorService::whatif_until`] with the transposition table
+    /// fetched by `memo` only when the what-if explores. An applied
+    /// answer never reads a transposition table, so a caller that keys
+    /// and registers tables per request pays nothing for it.
+    pub fn whatif_until_lazy<M: Deref<Target = TranspositionTable>>(
+        &self,
+        req: &WhatIfRequest,
+        deadline: Option<Instant>,
+        parallelism: usize,
+        memo: impl FnOnce() -> Option<M>,
+        unique: Option<&UniqueTable>,
+    ) -> Result<WhatIfOutcome, ServiceError> {
         let t0 = Instant::now();
         let merged = req.merged_request();
         // Resolve the delta up front so validation errors are identical
@@ -231,7 +247,8 @@ impl NavigatorService<'_> {
             )));
         }
         if !unpaged_count {
-            let response = self.run_until_memo(&merged, deadline, parallelism, memo)?;
+            let response =
+                self.run_until_memo(&merged, deadline, parallelism, memo().as_deref())?;
             return Ok(WhatIfOutcome {
                 response,
                 served: WhatIfServed::Explored,
@@ -252,7 +269,8 @@ impl NavigatorService<'_> {
             None => {
                 // Deadline expired mid-build: nothing partial is cached,
                 // and the ordinary explore path owns truncation semantics.
-                let response = self.run_until_memo(&merged, deadline, parallelism, memo)?;
+                let response =
+                    self.run_until_memo(&merged, deadline, parallelism, memo().as_deref())?;
                 return Ok(WhatIfOutcome {
                     response,
                     served: WhatIfServed::Explored,

@@ -93,6 +93,30 @@ fn arb_delta(s: &SyntheticCatalog) -> impl Strategy<Value = WhatIfDelta> {
         })
 }
 
+/// A sequence of deltas of every kind — avoid one, two or three courses,
+/// cap the workload, force courses, or mix them — drawn from a small pool
+/// of courses so that consecutive deltas overlap.
+fn arb_sweep(s: &SyntheticCatalog) -> impl Strategy<Value = Vec<WhatIfDelta>> {
+    let pool: Vec<String> = s
+        .catalog
+        .courses()
+        .take(10)
+        .map(|c| c.code().to_string())
+        .collect();
+    let n = pool.len();
+    let delta = (
+        prop::collection::vec(0usize..n, 0..4),
+        prop::option::of(5.0f64..40.0),
+        prop::collection::vec(0usize..n, 0..3),
+    )
+        .prop_map(move |(avoid, cap, force)| WhatIfDelta {
+            avoid: avoid.iter().map(|&i| pool[i].clone()).collect(),
+            force: force.iter().map(|&i| pool[i].clone()).collect(),
+            max_semester_workload: cap,
+        });
+    prop::collection::vec(delta, 2..9)
+}
+
 fn service(s: &SyntheticCatalog) -> NavigatorService<'_> {
     NavigatorService::new(&s.catalog)
         .with_degree(&s.degree)
@@ -227,5 +251,41 @@ proptest! {
             total_paths
         };
         prop_assert_eq!(got, expected);
+    }
+
+    /// A sweep of distinct deltas over one shared table: every fold
+    /// reuses the thread's memo buffer left by the previous one (warm
+    /// and cold folds interleave over tables of different sizes), so a
+    /// stale memo line would surface as a wrong count. Each warm answer
+    /// equals the cold request-local one, and re-exploration whenever
+    /// the delta is expressible as a request.
+    #[test]
+    fn a_sweep_of_distinct_deltas_over_one_table_matches_cold_and_reexploration(
+        base in arb_base(&synth()),
+        sweep in arb_sweep(&synth()),
+    ) {
+        let s = synth();
+        let service = service(&s);
+        let table = UniqueTable::new(0);
+        let mut asked: Vec<WhatIfDelta> = Vec::new();
+        for delta in sweep {
+            if asked.contains(&delta) {
+                continue;
+            }
+            asked.push(delta.clone());
+            let req = WhatIfRequest { base: base.clone(), transcript: None, delta };
+            let warm = service.whatif_until(&req, None, 1, None, Some(&table)).unwrap();
+            prop_assert_eq!(warm.served, WhatIfServed::Applied);
+            let cold = service.whatif_until(&req, None, 1, None, None).unwrap();
+            prop_assert_eq!(
+                normalized_json(&warm.response),
+                normalized_json(&cold.response),
+                "delta {:?}", req.delta
+            );
+            if req.delta.force.is_empty() {
+                let brute = service.run(&req.merged_request()).unwrap();
+                prop_assert_eq!(answer_json(&warm.response), answer_json(&brute));
+            }
+        }
     }
 }

@@ -15,12 +15,19 @@
 //!   count, socket reads, incremental parsing (via the machine),
 //!   response/stream flushing as the socket drains, all timers (one
 //!   [`TimerWheel`]), and every `connections-*` accounting decision.
-//! - **Compute pool (`pool.rs`):** runs the routed handler. Buffered
+//!   [`Hooks::handle`] also runs here: for `POST /v1/explore`,
+//!   `/v1/advise` and `/v1/whatif` it parses the body, resolves the
+//!   tenant, keys the request and probes the response cache. A hit is
+//!   admitted and answered on the loop, and [`Core::dispatch`] delivers
+//!   it at once: no completion, no eventfd write, no second wakeup.
+//! - **Compute pool (`pool.rs`):** everything else — cache misses,
+//!   resumable pages, refusals, streams, batch and admin routes. Buffered
 //!   routes send one [`Completion::Reply`]; streaming routes write
 //!   framed bytes through a bounded [`StreamWriter`] that blocks the
 //!   worker only while the peer is demonstrably draining.
 //! - **lib.rs:** supplies the [`Hooks`] — metrics placement, overload
-//!   admission, chaos sites — so this module stays protocol-only.
+//!   admission, chaos sites, the request handler — so this module stays
+//!   protocol-only.
 //!
 //! Dispatch is sequential per connection (reads pause while a request
 //! is in flight), which is exactly the old thread-per-connection
@@ -51,6 +58,12 @@ const WAKER: u64 = u64::MAX - 1;
 /// connection's output buffer per pump.
 const PUMP_BYTES: usize = 64 * 1024;
 
+/// How many replies answered on the loop may nest. Delivering one
+/// flushes it, and the flush dispatches the next pipelined request, so a
+/// pipeline of cache hits would otherwise recurse once per request.
+/// Deeper replies go through the completion channel instead.
+const MAX_INLINE_DEPTH: usize = 8;
+
 /// How many stream refills one `flush_out` call may perform before it
 /// must yield (re-queueing itself through the completion channel), so a
 /// fast-draining peer cannot monopolize the event loop.
@@ -78,12 +91,17 @@ pub(crate) struct Hooks {
     /// `ConnectionStall` chaos site: `true` freezes this connection's
     /// writes (the peer "stops reading") until the stall reaper fires.
     pub chaos_stall: Box<dyn Fn() -> bool + Send>,
-    /// Runs one request. Invoked on the event loop; implementations
-    /// hand the work to the compute pool and return immediately. The
-    /// [`Responder`] must eventually produce a completion (its `Drop`
-    /// answers 500 as a backstop).
-    pub handle: Box<dyn Fn(Request, Responder) + Send>,
+    /// Runs one request. Invoked on the event loop. A request answered
+    /// right there (a response-cache hit) returns its reply, which the
+    /// loop delivers at once. Anything else is handed to the compute
+    /// pool with a [`Responder`] minted by the second argument, and
+    /// `None` is returned; the responder must eventually produce a
+    /// completion (its `Drop` answers 500 as a backstop).
+    pub handle: Box<Handler>,
 }
+
+/// The request handler [`Hooks::handle`] holds.
+pub(crate) type Handler = dyn Fn(Request, &dyn Fn() -> Responder) -> Option<Response> + Send;
 
 /// Loop tuning, split from [`crate::ServerConfig`] so the event module
 /// does not see unrelated knobs.
@@ -411,6 +429,7 @@ impl EventLoop {
             rx,
             waker: Arc::clone(&waker),
             stop: Arc::clone(&stop),
+            inline_depth: 0,
         };
         sys::epoll_ctl(
             epfd,
@@ -464,6 +483,9 @@ struct Core {
     rx: Receiver<Completion>,
     waker: Arc<Waker>,
     stop: Arc<AtomicBool>,
+    /// Replies answered on the loop currently being delivered (see
+    /// [`MAX_INLINE_DEPTH`]).
+    inline_depth: usize,
 }
 
 fn token_of(idx: usize, gen: u32) -> u64 {
@@ -841,7 +863,8 @@ impl Core {
             return;
         }
         (self.hooks.on_request)();
-        let responder = Responder {
+        let keep = request.keep_alive;
+        let responder = || Responder {
             token,
             tx: self.tx.clone(),
             waker: Arc::clone(&self.waker),
@@ -849,7 +872,23 @@ impl Core {
             consumed: false,
             stream_buffer: self.config.stream_buffer,
         };
-        (self.hooks.handle)(request, responder);
+        let Some(reply) = (self.hooks.handle)(request, &responder) else {
+            return; // a worker answers through its responder
+        };
+        if self.inline_depth >= MAX_INLINE_DEPTH {
+            // Deep in a pipeline of hits: send the reply the way a
+            // worker would, to be delivered from the completion drain.
+            let _ = self.tx.send(Completion::Reply {
+                token,
+                response: Box::new(reply),
+                keep,
+            });
+            self.waker.wake();
+            return;
+        }
+        self.inline_depth += 1;
+        self.deliver_reply(token, reply, keep);
+        self.inline_depth -= 1;
     }
 
     // ---- completions ----------------------------------------------

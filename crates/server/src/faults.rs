@@ -25,6 +25,7 @@
 //! | `MemoInsertDropped`   | a transposition-table store is silently skipped |
 //! | `SnapshotWriteTorn`   | a snapshot write stops halfway through its temp file |
 //! | `ConnectionStall`     | the peer stops reading mid-response (writes freeze) |
+//! | `PanicInProbe`        | the event loop's cache probe panics            |
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
@@ -56,10 +57,13 @@ pub enum FaultSite {
     /// connection's socket writes until the write-stall reaper fires,
     /// proving a stalled consumer never blocks the loop or a worker.
     ConnectionStall,
+    /// Panic inside the loop-side probe of a buffered engine request,
+    /// proving a probe panic answers 500 and the event loop keeps serving.
+    PanicInProbe,
 }
 
 /// Every site, in counter-index order.
-pub const SITES: [FaultSite; 9] = [
+pub const SITES: [FaultSite; 10] = [
     FaultSite::PanicBeforeCompute,
     FaultSite::PanicAfterCompute,
     FaultSite::ComputeDelay,
@@ -69,6 +73,7 @@ pub const SITES: [FaultSite; 9] = [
     FaultSite::MemoInsertDropped,
     FaultSite::SnapshotWriteTorn,
     FaultSite::ConnectionStall,
+    FaultSite::PanicInProbe,
 ];
 
 /// A seeded, per-site fault schedule. See the module docs.

@@ -28,8 +28,10 @@
 //! admission and the breaker, typed 400s, tenant resolution, the cache,
 //! singleflight, the deadline and the `x-cache`/`x-degraded` headers; a
 //! single NDJSON driver does the same for `/v1/explore/stream` and
-//! `/v1/advise/batch`. This file keeps the [`Server`] lifecycle and the
-//! metrics and durable snapshots.
+//! `/v1/advise/batch`. The buffered driver's first part — parse, tenant,
+//! cache key, cache lookup — runs on the event loop, which answers
+//! response-cache hits itself. This file keeps the [`Server`] lifecycle
+//! and the metrics and durable snapshots.
 //!
 //! The complete wire-API reference — every `/v1` route, request/response
 //! shapes, typed error codes, and the deprecation policy for the
@@ -63,7 +65,8 @@
 //! `epoll` readiness ([`sys`]), incremental parsing through a
 //! per-connection state machine ([`conn`]), and writes as each socket
 //! drains. The worker pool ([`pool`]) does *compute only*, so an idle
-//! keep-alive connection costs a slab slot, not a parked thread. All
+//! keep-alive connection costs a slab slot, not a parked thread; a
+//! response-cache hit costs no worker at all. All
 //! idle/408/write-stall deadlines live in one timer wheel ([`timer`]).
 //!
 //! [`NavigatorService`]: coursenav_navigator::NavigatorService
@@ -363,10 +366,7 @@ impl Server {
                 #[cfg(not(feature = "chaos"))]
                 chaos_stall: Box::new(|| false),
                 handle: Box::new(move |request, responder| {
-                    let state = Arc::clone(&handle_state);
-                    submitter.submit(Box::new(move || {
-                        routes::run_request(&state, request, responder);
-                    }));
+                    routes::handle(&handle_state, &submitter, request, responder)
                 }),
             }
         };

@@ -5,7 +5,8 @@
 //! acceptor plus workers that each held a connection for its entire
 //! keep-alive lifetime. The event loop now owns every socket, so the
 //! pool's job shrank to pure compute: the loop submits one job per
-//! dispatched request, a worker runs the handler, and the response
+//! dispatched request it did not answer itself (it answers
+//! response-cache hits), a worker runs the handler, and the response
 //! travels back through the loop's completion channel. No thread ever
 //! blocks on a peer again (streaming backpressure is bounded by the
 //! stall reaper, see `event.rs`).

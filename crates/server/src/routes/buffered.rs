@@ -7,8 +7,15 @@
 //! singleflight, the deadline, the chaos compute sites, and the `x-cache`
 //! / `x-degraded` headers. A workload only says how to parse, validate,
 //! key, compute and page itself.
+//!
+//! The driver runs in two parts: [`probe`] on the event loop, up to the
+//! cache lookup, and a [`Remainder`] on a compute worker for anything the
+//! probe did not answer. A miss is admitted only when the worker picks it
+//! up, so the queue gauge, the breaker and the ladder see the load they
+//! always saw.
 
 use std::sync::atomic::Ordering;
+use std::sync::Arc;
 use std::time::Instant;
 
 use coursenav_navigator::{
@@ -25,7 +32,7 @@ use crate::singleflight::{Published, Role};
 use crate::AppState;
 
 /// One buffered engine workload, as the driver sees it.
-pub(super) trait Workload: Body {
+pub(super) trait Workload: Body + Send + 'static {
     /// The route's request/cache/compute/coalesce counters.
     fn counters(metrics: &Metrics) -> &RouteCounters;
     /// Refusals that need the resolved tenant (the transcript check).
@@ -39,7 +46,8 @@ pub(super) trait Workload: Body {
     /// Whether the request is a resumable page: pages are single-use, so
     /// they bypass the response cache and singleflight.
     fn paged(&self) -> bool;
-    /// The response-cache (and singleflight) key.
+    /// The response-cache (and singleflight) key. It masks the budget
+    /// and page size, so degradation never changes it.
     fn cache_key(&self) -> String;
     /// Runs the engine for an unpaged request: the serialized answer and
     /// whether it is complete (only complete answers are cached; a
@@ -49,48 +57,115 @@ pub(super) trait Workload: Body {
     fn page(&self, engine: &Engine) -> Result<String, Response>;
 }
 
-/// Serves one buffered engine request end to end. The breaker answers a
-/// fast typed 503 with `Retry-After` when open; refusals before the
-/// engine (bad body, unknown tenant, bad transcript) are never observed
-/// by the overload controller.
-pub(super) fn serve<W: Workload>(state: &AppState, request: &Request) -> Response {
+/// What the loop-side [`probe`] made of one buffered engine request.
+pub(super) enum Probe {
+    /// A response-cache hit, already admitted and stamped.
+    Hit(Response),
+    /// Work for a compute worker.
+    Miss(Remainder),
+}
+
+/// The worker-side rest of the driver for a request the probe did not
+/// answer.
+pub(super) type Remainder = Box<dyn FnOnce(&AppState) -> Response + Send>;
+
+/// A request as the probe left it: parsed, on its resolved tenant,
+/// validated, and keyed when unpaged.
+struct Parsed<W> {
+    req: W,
+    tenant: Arc<Tenant>,
+    /// The response-cache key; `None` for a resumable page.
+    key: Option<String>,
+}
+
+/// The loop-side part of the driver: parse, resolve, validate, key, and
+/// answer a response-cache hit. A refusal (bad body, unknown tenant, bad
+/// transcript) is not answered here: it rides the [`Remainder`] to the
+/// worker, which answers it after admission, exactly as before the split.
+pub(super) fn probe<W: Workload>(state: &AppState, request: &Request) -> Probe {
+    chaos!(state, crate::faults::FaultSite::PanicInProbe, {
+        panic!("chaos: panic in the loop-side probe");
+    });
     let counters = W::counters(&state.metrics);
     bump(&counters.requests);
+    let parsed = parse::<W>(state, request);
+    if let Ok(Parsed {
+        tenant,
+        key: Some(key),
+        ..
+    }) = &parsed
+    {
+        if let Some(cached) = tenant.cache().get(key) {
+            return Probe::Hit(admitted(state, |_| {
+                Ok(with_x_cache(hit(counters, &cached), "hit"))
+            }));
+        }
+    }
+    Probe::Miss(Box::new(move |state| finish(state, parsed)))
+}
+
+/// Decodes the body, resolves the tenant, validates, and keys an unpaged
+/// request; `Err` is the ready-to-send refusal.
+fn parse<W: Workload>(state: &AppState, request: &Request) -> Result<Parsed<W>, Response> {
+    let req: W = parse_body(request)?;
+    let tenant = resolve_tenant(state, request, req.tenant())?;
+    req.validate(&tenant)?;
+    let key = (!req.paged()).then(|| req.cache_key());
+    Ok(Parsed { req, tenant, key })
+}
+
+/// The worker-side remainder: admission, degradation, then the
+/// resumable-page path or the singleflight → compute chain.
+fn finish<W: Workload>(state: &AppState, parsed: Result<Parsed<W>, Response>) -> Response {
+    admitted(state, |level| {
+        let Parsed {
+            mut req,
+            tenant,
+            key,
+        } = parsed?;
+        degrade(state, &mut req, level);
+        Ok(match key {
+            Some(key) => cached_or_computed(state, &tenant, &req, &key),
+            None => {
+                let engine = Engine::new(state, &tenant, req.budget_ms());
+                match req.page(&engine) {
+                    Ok(json) => with_x_cache(Response::json(200, json), "bypass"),
+                    Err(resp) => resp,
+                }
+            }
+        })
+    })
+}
+
+/// Runs `serve` at the admitted degradation level. The breaker answers a
+/// fast typed 503 with `Retry-After` when open. An `Ok` answer is
+/// observed by the overload controller and stamped `x-degraded: <level>`
+/// below full fidelity; an `Err` is a refusal before the engine (bad
+/// body, unknown tenant, bad transcript), never observed.
+fn admitted(state: &AppState, serve: impl FnOnce(u8) -> Result<Response, Response>) -> Response {
     let (level, probe) = match state.overload.admit() {
         Admission::Reject { retry_after } => return Response::overloaded(retry_after),
         Admission::Go { level, probe } => (level, probe),
     };
-    let mut req: W = match parse_body(request) {
-        Ok(req) => req,
-        Err(resp) => return resp,
-    };
-    let tenant = match resolve_tenant(state, request, req.tenant()) {
-        Ok(tenant) => tenant,
-        Err(resp) => return resp,
-    };
-    if let Err(resp) = req.validate(&tenant) {
-        return resp;
-    }
-    degrade(state, &mut req, level);
     let t0 = Instant::now();
-    let mut resp = if req.paged() {
-        let engine = Engine::new(state, &tenant, req.budget_ms());
-        match req.page(&engine) {
-            Ok(json) => with_x_cache(Response::json(200, json), "bypass"),
-            Err(resp) => resp,
-        }
-    } else {
-        cached_or_computed(state, &tenant, &req, counters)
+    let mut resp = match serve(level) {
+        Ok(resp) => resp,
+        Err(refusal) => return refusal,
     };
     state
         .overload
         .observe(t0.elapsed(), resp.status < 500, probe);
-    // Stamp `x-degraded: <level>` on responses served below full fidelity.
     if level > 0 {
         resp.extra_headers
             .push(("x-degraded".into(), level.to_string()));
     }
     resp
+}
+
+/// A response-cache hit's 200, counted on the route.
+fn hit(counters: &RouteCounters, cached: &[u8]) -> Response {
+    bump(&counters.cache_hits);
+    Response::json(200, cached.to_vec())
 }
 
 /// Stamps the `x-cache` header that tells a client how its answer was
@@ -102,23 +177,16 @@ fn with_x_cache(mut resp: Response, how: &str) -> Response {
     resp
 }
 
-/// The cache → singleflight → compute chain for one unpaged request:
-/// consult the cache, coalesce concurrent duplicates onto one engine run,
-/// cache complete answers.
+/// The singleflight → compute chain for one unpaged request the probe
+/// missed in the cache: coalesce concurrent duplicates onto one engine
+/// run, cache complete answers.
 fn cached_or_computed<W: Workload>(
     state: &AppState,
     tenant: &Tenant,
     req: &W,
-    counters: &RouteCounters,
+    key: &str,
 ) -> Response {
-    let key = req.cache_key();
-    let hit = |cached: &[u8]| {
-        bump(&counters.cache_hits);
-        Response::json(200, cached.to_vec())
-    };
-    if let Some(cached) = tenant.cache().get(&key) {
-        return with_x_cache(hit(&cached), "hit");
-    }
+    let counters = W::counters(&state.metrics);
     // One deadline per request: a follower waits on the leader within
     // its own budget, and computing for itself afterwards does not
     // restart it.
@@ -130,10 +198,10 @@ fn cached_or_computed<W: Workload>(
     let (resp, how) = match state.flights.begin(&flight_key) {
         Role::Leader(leader) => {
             // Double-check the cache: a previous leader may have published
-            // between our miss above and winning this flight.
-            let (resp, how) = match tenant.cache().get(&key) {
-                Some(cached) => (hit(&cached), "hit"),
-                None => (compute(&engine, req, &key, counters), "miss"),
+            // between the probe's miss and winning this flight.
+            let (resp, how) = match tenant.cache().get(key) {
+                Some(cached) => (hit(counters, &cached), "hit"),
+                None => (compute(&engine, req, key, counters), "miss"),
             };
             leader.publish(resp.clone());
             (resp, how)
@@ -152,9 +220,7 @@ fn cached_or_computed<W: Workload>(
                 // out first: compute for ourselves. An already-expired
                 // deadline makes that a fast truncated partial — the
                 // follower never waits past its budget for someone else.
-                Some(Published::Abandoned) | None => {
-                    (compute(&engine, req, &key, counters), "miss")
-                }
+                Some(Published::Abandoned) | None => (compute(&engine, req, key, counters), "miss"),
             }
         }
     };
@@ -404,18 +470,19 @@ impl Workload for WhatIfRequest {
         WhatIfRequest::cache_key(self)
     }
 
-    /// Runs against the tenant's shared memo table *and* its shared
-    /// path-DAG table.
+    /// Runs against the tenant's shared path-DAG table, and against its
+    /// shared memo table only when the what-if explores: an applied
+    /// answer neither keys nor registers one, so it never evicts a live
+    /// table from the registry.
     fn compute(&self, engine: &Engine) -> Result<(String, bool), Response> {
-        let table = engine.tenant.memo().table_for(&self.memo_key());
         let dag = engine.tenant.dag().table();
         let outcome = engine
             .service
-            .whatif_until(
+            .whatif_until_lazy(
                 self,
                 engine.deadline,
                 engine.state.parallelism,
-                table.as_deref(),
+                || engine.tenant.memo().table_for(&self.memo_key()),
                 Some(&dag),
             )
             .map_err(|e| {

@@ -4,12 +4,20 @@
 //!
 //! - [`buffered`] serves `POST /v1/explore`, `/v1/advise` and `/v1/whatif`
 //!   through one generic driver over the [`buffered::Workload`] trait:
-//!   admission, body parsing, tenant resolution, validation, degradation,
-//!   then the cache → singleflight → compute chain (or the resumable-page
-//!   path) under one deadline.
+//!   body parsing, tenant resolution, validation, the cache key and the
+//!   cache lookup, then admission, degradation and the singleflight →
+//!   compute chain (or the resumable-page path) under one deadline.
 //! - [`stream`] serves the chunked NDJSON routes, `POST /v1/explore/stream`
 //!   and `/v1/advise/batch`, through one driver that owns admission, the
 //!   lazy chunked head, and the panic firewall.
+//!
+//! What runs where: [`handle`] runs on the event loop. For the buffered
+//! routes it runs the driver's first part, [`buffered::probe`], under
+//! `catch_unwind`: from the route match to the cache lookup. A hit is
+//! admitted, stamped and answered on the loop. Everything else runs on a
+//! compute worker ([`run_request`]): the rest of the buffered driver with
+//! the request, tenant and key the probe parsed, or — for streams, batch
+//! and admin routes — the whole route from scratch.
 //!
 //! This module holds what both drivers share — body parsing, tenant and
 //! cursor resolution, the engine context and its deadline, the typed
@@ -32,15 +40,64 @@ use coursenav_transcript::{Transcript, TranscriptError};
 
 use crate::event;
 use crate::http::{Request, Response};
+use crate::pool::PoolHandle;
 use crate::registry::{CatalogRegistry, RegistryError, Tenant, DEFAULT_TENANT};
 use crate::session::SessionError;
 use crate::AppState;
 
-/// One dispatched request, on a compute worker: route it and hand the
-/// result back to the event loop through `responder`. Parsing, status
-/// accounting for buffered responses, the `ResetMidWrite` chaos site,
-/// and all connection lifecycle live in the event loop; this function
-/// only computes.
+/// One dispatched request, on the event loop: returns the reply of a
+/// response-cache hit (or of a panicking probe, a 500); otherwise submits
+/// the rest to the compute pool with a responder minted by `responder`
+/// and returns `None`.
+pub(crate) fn handle(
+    state: &Arc<AppState>,
+    pool: &PoolHandle,
+    request: Request,
+    responder: &dyn Fn() -> event::Responder,
+) -> Option<Response> {
+    let t0 = Instant::now();
+    let remainder = match std::panic::catch_unwind(AssertUnwindSafe(|| probe(state, &request))) {
+        Ok(Some(buffered::Probe::Hit(response))) => {
+            state.metrics.observe_latency(&request.path, t0.elapsed());
+            return Some(response);
+        }
+        Ok(Some(buffered::Probe::Miss(remainder))) => Some(remainder),
+        Ok(None) => None,
+        Err(_) => {
+            state.metrics.observe_latency(&request.path, t0.elapsed());
+            return Some(Response::error(500, "internal error"));
+        }
+    };
+    let probed = t0.elapsed();
+    let state = Arc::clone(state);
+    let responder = responder();
+    pool.submit(Box::new(move || {
+        run_request(&state, request, remainder, probed, responder);
+    }));
+    None
+}
+
+/// The loop-side router: the buffered engine routes' POSTs get probed,
+/// every other request is routed on a worker.
+fn probe(state: &AppState, request: &Request) -> Option<buffered::Probe> {
+    if request.method != "POST" {
+        return None;
+    }
+    Some(match request.path.as_str() {
+        "/v1/explore" => buffered::probe::<ExplorationRequest>(state, request),
+        "/v1/advise" => buffered::probe::<AdviseRequest>(state, request),
+        "/v1/whatif" => buffered::probe::<WhatIfRequest>(state, request),
+        _ => return None,
+    })
+}
+
+/// One dispatched request, on a compute worker: run the probe's
+/// `remainder` or route the request, and hand the result back to the
+/// event loop through `responder`. Parsing, status accounting for
+/// buffered responses, the `ResetMidWrite` chaos site, and all
+/// connection lifecycle live in the event loop; this function only
+/// computes. `probed` is the loop time already spent on the request,
+/// counted into its latency.
 ///
 /// Streaming routes bypass the buffered request→response shape: the
 /// handler writes chunked frames into the responder's stream buffer and
@@ -49,7 +106,13 @@ use crate::AppState;
 /// other way to signal failure. Stream statuses are accounted here (the
 /// handler is the only place that knows them), buffered statuses at
 /// delivery in the loop.
-pub(crate) fn run_request(state: &Arc<AppState>, request: Request, responder: event::Responder) {
+fn run_request(
+    state: &Arc<AppState>,
+    request: Request,
+    remainder: Option<buffered::Remainder>,
+    probed: Duration,
+    responder: event::Responder,
+) {
     let t0 = Instant::now();
     let path = request.path.as_str();
     if request.method == "POST" && matches!(path, "/v1/explore/stream" | "/v1/advise/batch") {
@@ -66,9 +129,14 @@ pub(crate) fn run_request(state: &Arc<AppState>, request: Request, responder: ev
     }
     let keep = request.keep_alive;
     // A panicking handler becomes a 500, not a dead worker.
-    let response = std::panic::catch_unwind(AssertUnwindSafe(|| route(state, &request)))
-        .unwrap_or_else(|_| Response::error(500, "internal error"));
-    state.metrics.observe_latency(&request.path, t0.elapsed());
+    let response = std::panic::catch_unwind(AssertUnwindSafe(|| match remainder {
+        Some(remainder) => remainder(state),
+        None => route(state, &request),
+    }))
+    .unwrap_or_else(|_| Response::error(500, "internal error"));
+    state
+        .metrics
+        .observe_latency(&request.path, probed + t0.elapsed());
     responder.respond(response, keep);
 }
 
@@ -140,9 +208,6 @@ fn route(state: &AppState, request: &Request) -> Response {
         return catalogs_admin(state, request, rest);
     }
     match (request.method.as_str(), path) {
-        ("POST", "/explore") => buffered::serve::<ExplorationRequest>(state, request),
-        ("POST", "/advise") => buffered::serve::<AdviseRequest>(state, request),
-        ("POST", "/whatif") => buffered::serve::<WhatIfRequest>(state, request),
         ("GET", "/catalog") => match resolve_tenant(state, request, None) {
             Ok(tenant) => match catalog_to_json(&tenant.data().catalog) {
                 Ok(json) => Response::json(200, json),
@@ -196,8 +261,9 @@ fn route(state: &AppState, request: &Request) -> Response {
             )
         }
         // Right path, wrong verb → 405 with the allowed method. The
-        // stream routes land here too: their POST is intercepted before
-        // dispatch, so any method that reaches route() is wrong.
+        // engine routes land here too: their POSTs are probed on the loop
+        // or intercepted as streams before routing, so any method that
+        // reaches route() is wrong.
         _ => match PATHS.iter().find(|&&(p, _, _)| p == path) {
             Some(&(_, allow, _)) => method_not_allowed(allow),
             None => Response::error(404, "no such route"),

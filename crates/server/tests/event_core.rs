@@ -228,3 +228,36 @@ fn accept_cap_sheds_the_overflow_connection_with_a_typed_503() {
 
     server.shutdown();
 }
+
+#[test]
+fn a_deep_pipeline_of_cache_hits_answers_every_request_in_order() {
+    // Hits are answered on the event loop, and each delivery dispatches
+    // the next pipelined request; a pipeline far deeper than the loop's
+    // nesting bound must still answer in order, byte for byte.
+    let server = start(5_000, None);
+    let addr = server.local_addr();
+    let json = common::count_request().to_json().unwrap();
+    let warm = roundtrip(addr, "POST", "/v1/explore", Some(&json)).expect("warm-up answer");
+    assert_eq!(warm.status, 200);
+
+    const DEPTH: usize = 40;
+    let one = format!(
+        "POST /v1/explore HTTP/1.1\r\nhost: a\r\ncontent-length: {}\r\n\r\n{json}",
+        json.len()
+    );
+    let mut pipeline = one.repeat(DEPTH);
+    pipeline.push_str("GET /v1/healthz HTTP/1.1\r\nhost: a\r\nconnection: close\r\n\r\n");
+    let mut s = TcpStream::connect(addr).unwrap();
+    s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    s.write_all(pipeline.as_bytes()).unwrap();
+    let mut raw = Vec::new();
+    s.read_to_end(&mut raw).unwrap();
+    let text = String::from_utf8_lossy(&raw);
+    assert_eq!(text.matches("x-cache: hit").count(), DEPTH, "{text}");
+    assert_eq!(text.matches(warm.text()).count(), DEPTH);
+    assert!(
+        text.ends_with("{\"status\":\"ok\"}"),
+        "healthz answers last"
+    );
+    server.shutdown();
+}

@@ -314,3 +314,141 @@ fn open_breaker_rejects_streams_with_the_same_typed_503() {
 
     server.shutdown();
 }
+
+/// Writes `POST /v1/explore` with `json` on a fresh connection that the
+/// server closes after answering.
+fn send_explore(addr: std::net::SocketAddr, json: &str, read_timeout: Duration) -> TcpStream {
+    let mut s = TcpStream::connect(addr).unwrap();
+    s.set_read_timeout(Some(read_timeout)).unwrap();
+    s.write_all(
+        format!(
+            "POST /v1/explore HTTP/1.1\r\nhost: a\r\nconnection: close\r\ncontent-length: {}\r\n\r\n{json}",
+            json.len()
+        )
+        .as_bytes(),
+    )
+    .unwrap();
+    s
+}
+
+#[test]
+fn cache_hits_answer_on_the_event_loop_while_the_worker_is_parked() {
+    let server = Server::start(
+        ServerConfig {
+            threads: 1,
+            ..ServerConfig::default()
+        },
+        brandeis_cs(),
+    )
+    .expect("start server");
+    let addr = server.local_addr();
+    let json = count_request().to_json().unwrap();
+    let warm = roundtrip(addr, "POST", "/v1/explore", Some(&json)).expect("warm-up answer");
+    assert_eq!(warm.header("x-cache"), Some("miss"));
+
+    // Park the single worker for three seconds of compute.
+    let heavy = parked_worker_request(3_000);
+    let mut holder = send_explore(addr, &heavy, Duration::from_secs(10));
+    std::thread::sleep(Duration::from_millis(200));
+
+    // The cached request needs no worker: it answers well inside the
+    // park, and before the holder does.
+    let mut hit = send_explore(addr, &json, Duration::from_secs(1));
+    let mut raw = Vec::new();
+    hit.read_to_end(&mut raw)
+        .expect("a cache hit answers while the only worker is busy");
+    let resp = common::parse_response(&raw).expect("a well-formed hit");
+    assert_eq!(resp.status, 200, "{}", resp.text());
+    assert_eq!(resp.header("x-cache"), Some("hit"));
+    assert_eq!(resp.text(), warm.text(), "same bytes as the first answer");
+    holder.set_nonblocking(true).unwrap();
+    let mut buf = [0u8; 1024];
+    assert!(
+        matches!(holder.read(&mut buf), Err(e) if e.kind() == std::io::ErrorKind::WouldBlock),
+        "the parked request is still computing"
+    );
+    holder.set_nonblocking(false).unwrap();
+    let mut raw = Vec::new();
+    holder.read_to_end(&mut raw).unwrap();
+    let parked = common::parse_response(&raw).expect("the parked answer");
+    assert_eq!(parked.status, 200);
+
+    let metrics = fetch_metrics(addr);
+    assert_eq!(
+        metrics["explore-cache-hits"].as_u64(),
+        Some(1),
+        "{metrics:?}"
+    );
+    server.shutdown();
+}
+
+#[test]
+fn open_breaker_rejects_cache_hits_with_the_typed_503() {
+    // The trip test's topology. The queued requests are cache misses, so
+    // the worker admits them and trips the breaker; the cached request
+    // is then admitted on the event loop and finds the breaker open.
+    let server = Server::start(
+        ServerConfig {
+            threads: 1,
+            queue_depth: 8,
+            overload: OverloadConfig {
+                degrade_queue: 1,
+                break_queue: 2,
+                trip_after: 1,
+                open_for: Duration::from_secs(30),
+                ..OverloadConfig::default()
+            },
+            ..ServerConfig::default()
+        },
+        brandeis_cs(),
+    )
+    .expect("start server");
+    let addr = server.local_addr();
+    let json = count_request().to_json().unwrap();
+    let warm = roundtrip(addr, "POST", "/v1/explore", Some(&json)).expect("warm-up answer");
+    assert_eq!(warm.status, 200);
+    let hit = roundtrip(addr, "POST", "/v1/explore", Some(&json)).expect("a hit");
+    assert_eq!(hit.header("x-cache"), Some("hit"));
+
+    let mut holder = send_explore(addr, &parked_worker_request(700), Duration::from_secs(10));
+    std::thread::sleep(Duration::from_millis(200));
+    let mut miss = count_request();
+    miss.max_per_semester = 2;
+    let miss = miss.to_json().unwrap();
+    let mut queued: Vec<TcpStream> = (0..3)
+        .map(|_| send_explore(addr, &miss, Duration::from_secs(10)))
+        .collect();
+    for stream in &mut queued {
+        let mut raw = Vec::new();
+        stream.read_to_end(&mut raw).unwrap();
+        let resp = common::parse_response(&raw).expect("a well-formed 503");
+        assert_eq!(resp.status, 503, "{}", resp.text());
+    }
+    let mut buf = [0u8; 1024];
+    assert!(holder.read(&mut buf).unwrap() > 0);
+
+    let resp = roundtrip(addr, "POST", "/v1/explore", Some(&json)).expect("a rejection");
+    assert_eq!(resp.status, 503, "{}", resp.text());
+    assert!(
+        resp.text().contains("\"code\":\"overloaded\""),
+        "{}",
+        resp.text()
+    );
+    let retry_after: u64 = resp
+        .header("retry-after")
+        .expect("Retry-After on breaker rejections")
+        .parse()
+        .expect("Retry-After is whole seconds");
+    assert!(retry_after >= 1);
+    assert_eq!(resp.header("x-cache"), None);
+
+    let metrics = fetch_metrics(addr);
+    assert_eq!(metrics["overload"]["breaker"].as_str(), Some("open"));
+    assert_eq!(metrics["overload"]["breaker-rejections"].as_u64(), Some(4));
+    assert_eq!(
+        metrics["explore-cache-hits"].as_u64(),
+        Some(1),
+        "{metrics:?}"
+    );
+    server.shutdown();
+}
