@@ -1,8 +1,7 @@
 //! Ablation benchmarks (DESIGN.md §4, Ablations A–C):
 //!
 //! - **A.** strategic-selection floor on vs off (goal-driven);
-//! - **B.** memoized-DAG counting vs streaming vs parallel streaming
-//!   (deadline-driven);
+//! - **B.** memoized-DAG counting vs streaming (deadline-driven);
 //! - **C.** best-first top-k vs enumerate-then-sort (ranked);
 //! - **D.** A* (admissible heuristic) vs plain best-first for the
 //!   workload ranking, where accumulated-cost ordering floods the frontier.
@@ -51,13 +50,6 @@ fn bench_counting_modes(c: &mut Criterion) {
             b.iter_batched(
                 || paper_deadline_explorer(&data, semesters),
                 |e| e.count_paths_dedup(),
-                BatchSize::SmallInput,
-            )
-        });
-        group.bench_function(format!("parallel4_{semesters}sem"), |b| {
-            b.iter_batched(
-                || paper_deadline_explorer(&data, semesters),
-                |e| e.count_paths_parallel(4),
                 BatchSize::SmallInput,
             )
         });

@@ -29,9 +29,8 @@
 //! mean what-if apply is ≥ 20× faster than re-exploration — and writes
 //! `BENCH_10.json`. `--smoke` runs the shallow configuration only and
 //! validates the committed artifact instead of rewriting it (the CI
-//! guard). Byte-level equivalence (stats and all, warm and cold,
-//! sequential and parallel) is pinned by the `whatif_proptests` suite in
-//! `crates/navigator`.
+//! guard). Byte-level equivalence (stats and all, warm and cold) is
+//! pinned by the `whatif_proptests` suite in `crates/navigator`.
 
 use coursenav_bench::{paper_instance, sparse_instance, timed, PAPER_M};
 use coursenav_navigator::{

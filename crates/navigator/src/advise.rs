@@ -311,7 +311,7 @@ pub struct Recommendation {
 }
 
 /// The advising answer. Deliberately carries no wall-clock field: two runs
-/// over the same catalog — cold, memo-warm, batched, parallel — serialize
+/// over the same catalog — cold, memo-warm, batched — serialize
 /// byte-identically, which is what the cohort determinism guarantee pins.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 #[serde(rename_all = "kebab-case")]
@@ -388,12 +388,14 @@ impl NavigatorService<'_> {
     /// The interest ranking must be suffix-decomposable; anything else is
     /// [`ServiceError::BadRanking`] — the contract that keeps personalized
     /// answers byte-identical however they were computed.
+    ///
+    /// `_parallelism` is ignored; it is kept only for existing callers.
     pub fn advise_until_memo(
         &self,
         req: &AdviseRequest,
         cursor: Option<&ExplorationCursor>,
         deadline: Option<Instant>,
-        parallelism: usize,
+        _parallelism: usize,
         table: Option<&TranspositionTable>,
     ) -> Result<AdviseOutcome, ServiceError> {
         let derived = req.to_exploration();
@@ -452,7 +454,7 @@ impl NavigatorService<'_> {
                     _ => unreachable!("top-k requests produce rankings"),
                 }
             } else {
-                match self.run_until_memo(&derived, deadline, parallelism, table)? {
+                match self.run_until_memo(&derived, deadline, 1, table)? {
                     ExplorationResponse::Ranked {
                         paths, truncated, ..
                     } => (paths, truncated, None),

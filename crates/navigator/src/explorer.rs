@@ -154,8 +154,8 @@ impl<'a> Explorer<'a> {
         self.max_per_semester
     }
 
-    /// A copy of this request rooted at a different status (used by the
-    /// parallel counter to hand first-level subtrees to worker threads).
+    /// A copy of this request rooted at a different status (used by
+    /// [`crate::impact`] to count the subtree each first selection opens).
     pub(crate) fn restarted(&self, start: EnrollmentStatus) -> Explorer<'a> {
         let mut e = self.clone();
         e.start = start;

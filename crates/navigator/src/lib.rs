@@ -23,12 +23,11 @@
 //!   generic over monotone [`Ranking`] functions (time / workload /
 //!   reliability / weighted composites);
 //! - extensions called out in the paper's future work: selection and path
-//!   [`filter`]s, a memoized-DAG counting mode ([`dedup`]), and parallel
-//!   counting, collection, and top-k ([`parallel`]);
+//!   [`filter`]s and a memoized-DAG counting mode ([`dedup`]);
 //! - a status-keyed transposition table ([`memo`]) that folds the
 //!   exploration tree into a DAG: per-subtree counts, suffix sets, and
-//!   (for decomposable rankings) top-k summaries, shared across parallel
-//!   workers and — via the serving layer — across requests;
+//!   (for decomposable rankings) top-k summaries, shared — via the
+//!   serving layer — across requests;
 //! - resumable exploration sessions: serializable DFS-frontier cursors
 //!   ([`cursor`]) and page-at-a-time request servicing with exact
 //!   resume semantics ([`resume`]).
@@ -48,7 +47,6 @@ pub mod goal;
 pub mod graph;
 pub mod impact;
 pub mod memo;
-pub mod parallel;
 pub mod pareto;
 pub mod path;
 pub mod pruning;

@@ -25,12 +25,11 @@
 //!   cost). Non-decomposable rankings fall back to the un-memoized
 //!   search, byte-identically.
 //!
-//! The table is sharded and lock-striped so the parallel fan-out
-//! ([`Explorer::count_paths_parallel_memo_until`]) shares one memo across
-//! workers, and it is `Sync` so the serving layer can key long-lived
-//! tables under [`crate::ExplorationRequest::memo_key`] and reuse them
-//! across requests. Memory is bounded by an entry-count cap with
-//! LRU-ish (oldest-stamp-quartile) eviction.
+//! The table is sharded and lock-striped, and it is `Sync`, so the
+//! serving layer can key long-lived tables under
+//! [`crate::ExplorationRequest::memo_key`] and share each one across the
+//! worker pool's threads and across requests. Memory is bounded by an
+//! entry-count cap with LRU-ish (oldest-stamp-quartile) eviction.
 //!
 //! Every run keeps **two** stat ledgers: the *logical* stats a response
 //! reports (tree-equivalent, memo counters always zero) and the *work*
@@ -53,7 +52,6 @@ use serde::{Deserialize, Serialize};
 use crate::error::ExploreError;
 use crate::expand::SelectionIter;
 use crate::explorer::{Disposition, Explorer};
-use crate::parallel::RootExpansion;
 use crate::path::{LeafKind, Path};
 use crate::pruning::{record_prune, Pruner};
 use crate::ranked::RankedPath;
@@ -68,7 +66,7 @@ use crate::status::EnrollmentStatus;
 pub type StateKey = (i32, CourseSet);
 
 /// Number of lock stripes. Sixteen keeps contention negligible for the
-/// worker counts the parallel fan-out uses while staying cheap to scan.
+/// serving pool's worker counts while staying cheap to scan.
 const SHARD_COUNT: usize = 16;
 
 /// Largest suffix set cached per subtree. Subtrees with more maximal
@@ -1052,77 +1050,6 @@ impl<'c> Explorer<'c> {
         )
     }
 
-    /// [`Explorer::count_paths_memo_until`] with the first-level subtrees
-    /// dealt to `threads` workers that share `table`. Counts and logical
-    /// stats merge in child order, so the result is byte-identical to the
-    /// sequential memoized (and un-memoized) run.
-    ///
-    /// # Panics
-    /// Panics if `threads` is zero.
-    pub fn count_paths_parallel_memo_until(
-        &self,
-        threads: usize,
-        deadline: Option<Instant>,
-        table: &TranspositionTable,
-    ) -> (PathCounts, ExploreStats, bool) {
-        assert!(threads > 0, "need at least one worker thread");
-        match self.expand_root() {
-            RootExpansion::Leaf(kind) => (
-                PathCounts {
-                    total_paths: 1,
-                    goal_paths: u128::from(kind == LeafKind::Goal),
-                    stats: ExploreStats::default(),
-                },
-                ExploreStats::default(),
-                false,
-            ),
-            RootExpansion::Pruned(stats) => (
-                PathCounts {
-                    total_paths: 0,
-                    goal_paths: 0,
-                    stats,
-                },
-                stats,
-                false,
-            ),
-            RootExpansion::NoChildren { stats, dead_end } => (
-                PathCounts {
-                    total_paths: u128::from(dead_end),
-                    goal_paths: 0,
-                    stats,
-                },
-                stats,
-                false,
-            ),
-            RootExpansion::Children {
-                stats: root_stats,
-                children,
-            } => {
-                let subs = self.deal_subtrees(children, threads, |_, (_, child)| {
-                    let sub = self.restarted(child);
-                    let mut run = MemoRun::new(&sub, table, deadline);
-                    let result = run.count_state(&child);
-                    (result, run.work, run.expired)
-                });
-                let mut out = PathCounts {
-                    total_paths: 0,
-                    goal_paths: 0,
-                    stats: root_stats,
-                };
-                let mut work = root_stats;
-                let mut truncated = false;
-                for ((total, goal, logical), sub_work, sub_truncated) in subs {
-                    out.total_paths += total;
-                    out.goal_paths += goal;
-                    out.stats.merge(&logical);
-                    work.merge(&sub_work);
-                    truncated |= sub_truncated;
-                }
-                (out, work, truncated)
-            }
-        }
-    }
-
     /// Memoized path collection: up to `limit` paths (goal paths for
     /// goal-driven runs) in exact depth-first order, splicing cached
     /// suffix sets onto the prefix wherever the table already knows a
@@ -1255,22 +1182,6 @@ mod tests {
         assert_eq!(warm, plain, "warm logical stats do not re-count");
         assert_eq!(warm_work.nodes_expanded, 0, "warm root answers instantly");
         assert!(warm_work.memo_hits >= 1);
-    }
-
-    #[test]
-    fn parallel_memoized_counts_match_sequential() {
-        let synth = synth();
-        let e = goal_explorer(&synth, 4);
-        let plain = e.count_paths();
-        for threads in [1, 2, 4] {
-            let table = TranspositionTable::new(1 << 16);
-            let (counts, _, truncated) = e.count_paths_parallel_memo_until(threads, None, &table);
-            assert_eq!(counts, plain, "threads={threads}");
-            assert!(!truncated);
-            // And again against the now-warm shared table.
-            let (warm, _, _) = e.count_paths_parallel_memo_until(threads, None, &table);
-            assert_eq!(warm, plain, "warm threads={threads}");
-        }
     }
 
     #[test]

@@ -15,10 +15,10 @@
 //! so hopeless branches never enter the heap.
 //!
 //! The tree-rank tie-break (rather than global insertion FIFO) makes the
-//! order *composable*: the pop order restricted to any first-level subtree
-//! equals that subtree's own search order, so `parallel.rs` can search
-//! subtrees independently (seeded via `Explorer::ranked_search_seeded`)
-//! and merge by (cost, child index) into the exact sequential answer.
+//! order *composable*: the pop order restricted to any subtree equals that
+//! subtree's own search order, so the memoized top-k (`memo.rs`) can merge
+//! cached per-child suffix summaries by (cost, child index) into the exact
+//! best-first answer.
 //!
 //! [`Explorer::top_k_by_enumeration`] is the brute-force baseline
 //! (enumerate all goal paths, sort, truncate), kept as the ablation
@@ -138,26 +138,10 @@ impl Explorer<'_> {
         k: usize,
         deadline: Option<Instant>,
     ) -> Result<(Vec<RankedPath>, ExploreStats, bool), ExploreError> {
-        self.ranked_search_seeded(ranking, heuristic, k, deadline, 0.0)
+        self.ranked_search_paged(ranking, heuristic, 0, k, deadline)
     }
 
-    /// [`Explorer::ranked_search`] with the root's accumulated cost seeded
-    /// to `initial_cost` instead of `0.0`. This is how `parallel.rs`
-    /// searches a first-level subtree: seeding with `0.0 + edge_cost(root,
-    /// selection)` reproduces the sequential engine's left-fold cost
-    /// accumulation bit for bit, so merged answers stay byte-identical.
-    pub(crate) fn ranked_search_seeded(
-        &self,
-        ranking: &dyn Ranking,
-        heuristic: Option<&dyn crate::astar::RemainingCostHeuristic>,
-        k: usize,
-        deadline: Option<Instant>,
-        initial_cost: f64,
-    ) -> Result<(Vec<RankedPath>, ExploreStats, bool), ExploreError> {
-        self.ranked_search_paged(ranking, heuristic, 0, k, deadline, initial_cost)
-    }
-
-    /// [`Explorer::ranked_search_seeded`] that additionally *skips* the
+    /// [`Explorer::ranked_search`] that additionally *skips* the
     /// first `skip` goal paths before collecting up to `k`. Because the
     /// best-first pop order is fully deterministic (cost, then tree rank),
     /// replaying the search with a skip count resumes a paused top-k run:
@@ -172,7 +156,6 @@ impl Explorer<'_> {
         skip: usize,
         k: usize,
         deadline: Option<Instant>,
-        initial_cost: f64,
     ) -> Result<(Vec<RankedPath>, ExploreStats, bool), ExploreError> {
         let Some(goal) = self.goal() else {
             return Err(ExploreError::InvalidRequest(
@@ -201,8 +184,8 @@ impl Explorer<'_> {
         }];
         let mut heap = BinaryHeap::new();
         heap.push(HeapEntry {
-            priority: initial_cost + h(self.start()),
-            cost: initial_cost,
+            priority: h(self.start()),
+            cost: 0.0,
             rank: Vec::new(),
             node: 0,
         });
@@ -405,7 +388,7 @@ mod tests {
             let mut paged: Vec<RankedPath> = Vec::new();
             while paged.len() < full.len() {
                 let (page, _, truncated) = e
-                    .ranked_search_paged(&TimeRanking, None, paged.len(), page_size, None, 0.0)
+                    .ranked_search_paged(&TimeRanking, None, paged.len(), page_size, None)
                     .unwrap();
                 assert!(!truncated);
                 if page.is_empty() {

@@ -523,7 +523,6 @@ impl NavigatorService<'_> {
             emitted_before,
             page_cap,
             deadline,
-            0.0,
         )?;
         if let Some(sink) = sink {
             for ranked in &paths {

@@ -351,24 +351,6 @@ impl<'a> NavigatorService<'a> {
         req: &ExplorationRequest,
         deadline: Option<Instant>,
     ) -> Result<ExplorationResponse, ServiceError> {
-        self.run_until_with(req, deadline, 1)
-    }
-
-    /// [`NavigatorService::run_until`] with an engine parallelism degree:
-    /// `parallelism > 1` fans the first-level subtrees across that many
-    /// scoped worker threads (`Explorer::*_parallel_until`). Answers are
-    /// byte-identical to the sequential ones — same paths, same order,
-    /// bit-identical costs — so the serving layer can cache them under
-    /// the same canonical key regardless of how they were computed.
-    pub fn run_until_with(
-        &self,
-        req: &ExplorationRequest,
-        deadline: Option<Instant>,
-        parallelism: usize,
-    ) -> Result<ExplorationResponse, ServiceError> {
-        if parallelism > 1 {
-            return self.run_parallel(req, deadline, parallelism);
-        }
         let explorer = self.build_explorer(req)?;
         let t0 = Instant::now();
         // Amortizes `Instant::now` over leaf visits; leaves outnumber
@@ -453,7 +435,7 @@ impl<'a> NavigatorService<'a> {
         }
     }
 
-    /// [`NavigatorService::run_until_with`] through a transposition table:
+    /// [`NavigatorService::run_until`] through a transposition table:
     /// whole subtrees already in `table` are answered from it instead of
     /// being re-explored, and newly-explored subtrees are inserted for the
     /// next run. Responses are byte-identical to the un-memoized ones —
@@ -461,35 +443,31 @@ impl<'a> NavigatorService<'a> {
     /// (memo hits replay the cached subtree's counters, so the §5.2
     /// pruning breakdown is stable warm or cold).
     ///
-    /// Routing: `table == None` is exactly
-    /// [`NavigatorService::run_until_with`]. Count output uses the
-    /// memoized counter (parallel workers share the table when
-    /// `parallelism > 1`). Collect output uses the memoized sequential
-    /// enumerator (suffix splicing; the output limit bounds its work).
-    /// Top-k uses cached suffix summaries only under a *decomposable*
-    /// ranking ([`RankingSpec::decomposable`]) and falls back to the
-    /// un-memoized best-first search otherwise — or when the deadline
-    /// expires mid-computation, so a deadline-bound response is always a
-    /// correct best-first prefix.
+    /// Routing: `table == None` is exactly [`NavigatorService::run_until`].
+    /// Count output uses the memoized counter. Collect output uses the
+    /// memoized enumerator (suffix splicing; the output limit bounds its
+    /// work). Top-k uses cached suffix summaries only under a
+    /// *decomposable* ranking ([`RankingSpec::decomposable`]) and falls
+    /// back to the un-memoized best-first search otherwise — or when the
+    /// deadline expires mid-computation, so a deadline-bound response is
+    /// always a correct best-first prefix.
+    ///
+    /// `_parallelism` is ignored; it is kept only for existing callers.
     pub fn run_until_memo(
         &self,
         req: &ExplorationRequest,
         deadline: Option<Instant>,
-        parallelism: usize,
+        _parallelism: usize,
         table: Option<&TranspositionTable>,
     ) -> Result<ExplorationResponse, ServiceError> {
         let Some(table) = table else {
-            return self.run_until_with(req, deadline, parallelism);
+            return self.run_until(req, deadline);
         };
         let explorer = self.build_explorer(req)?;
         let t0 = Instant::now();
         match req.output {
             OutputMode::Count => {
-                let (counts, _work, truncated) = if parallelism > 1 {
-                    explorer.count_paths_parallel_memo_until(parallelism, deadline, table)
-                } else {
-                    explorer.count_paths_memo_until(table, deadline)
-                };
+                let (counts, _work, truncated) = explorer.count_paths_memo_until(table, deadline);
                 Ok(ExplorationResponse::Counts {
                     api_version: API_VERSION,
                     total_paths: counts.total_paths,
@@ -535,62 +513,7 @@ impl<'a> NavigatorService<'a> {
                 // Non-decomposable ranking, or the deadline expired before
                 // the memoized computation finished: the un-memoized search
                 // is the byte-identical (and best-so-far-correct) answer.
-                self.run_until_with(req, deadline, parallelism)
-            }
-        }
-    }
-
-    /// The `parallelism > 1` arm of [`NavigatorService::run_until_with`]:
-    /// same request semantics, subtrees dealt across worker threads.
-    fn run_parallel(
-        &self,
-        req: &ExplorationRequest,
-        deadline: Option<Instant>,
-        parallelism: usize,
-    ) -> Result<ExplorationResponse, ServiceError> {
-        let explorer = self.build_explorer(req)?;
-        let t0 = Instant::now();
-        match req.output {
-            OutputMode::Count => {
-                let (counts, truncated) =
-                    explorer.count_paths_parallel_until(parallelism, deadline);
-                Ok(ExplorationResponse::Counts {
-                    api_version: API_VERSION,
-                    total_paths: counts.total_paths,
-                    goal_paths: counts.goal_paths,
-                    stats: counts.stats,
-                    truncated,
-                    next_cursor: None,
-                    millis: t0.elapsed().as_millis(),
-                })
-            }
-            OutputMode::Collect { limit } => {
-                let (paths, truncated) =
-                    explorer.collect_paths_parallel_until(parallelism, limit, deadline);
-                Ok(ExplorationResponse::Paths {
-                    api_version: API_VERSION,
-                    paths,
-                    truncated,
-                    next_cursor: None,
-                    millis: t0.elapsed().as_millis(),
-                })
-            }
-            OutputMode::TopK { k } => {
-                let spec = req
-                    .ranking
-                    .as_ref()
-                    .ok_or_else(|| ServiceError::BadRanking("top-k requires a ranking".into()))?;
-                let ranking = self.resolve_ranking(spec)?;
-                let (paths, truncated) =
-                    explorer.top_k_parallel_until(ranking.as_ref(), k, parallelism, deadline)?;
-                Ok(ExplorationResponse::Ranked {
-                    api_version: API_VERSION,
-                    ranking: ranking.name().to_string(),
-                    paths,
-                    truncated,
-                    next_cursor: None,
-                    millis: t0.elapsed().as_millis(),
-                })
+                self.run_until(req, deadline)
             }
         }
     }

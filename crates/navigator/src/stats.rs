@@ -43,7 +43,8 @@ impl ExploreStats {
         self.pruned_time + self.pruned_availability
     }
 
-    /// Merges counters from another run (used by the parallel counter).
+    /// Adds another subtree's counters to these (memoized and DAG folds
+    /// sum their children's statistics this way).
     pub fn merge(&mut self, other: &ExploreStats) {
         self.nodes_expanded += other.nodes_expanded;
         self.edges_created += other.edges_created;

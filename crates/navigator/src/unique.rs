@@ -22,8 +22,8 @@
 //! [`DagNodeId`] select the shard, so interning contends per-shard, not
 //! globally), an intern index per shard maps structural hashes to candidate
 //! ids, and a shared pair-keyed apply cache memoizes `crate::apply`
-//! operations across calls. The table is `Sync`: parallel builds and
-//! applies may share it, exactly like the transposition table.
+//! operations across calls. The table is `Sync`: the serving pool's
+//! workers share one per tenant, exactly like the transposition table.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hash, Hasher};

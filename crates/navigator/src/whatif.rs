@@ -208,15 +208,17 @@ impl NavigatorService<'_> {
     /// [`ExploreError::BudgetExceeded`] (wire code `state-budget`,
     /// retryable); forced courses with incompatible output as
     /// [`ExploreError::InvalidRequest`].
+    ///
+    /// `_parallelism` is ignored; it is kept only for existing callers.
     pub fn whatif_until(
         &self,
         req: &WhatIfRequest,
         deadline: Option<Instant>,
-        parallelism: usize,
+        _parallelism: usize,
         memo: Option<&TranspositionTable>,
         unique: Option<&UniqueTable>,
     ) -> Result<WhatIfOutcome, ServiceError> {
-        self.whatif_until_lazy(req, deadline, parallelism, || memo, unique)
+        self.whatif_until_lazy(req, deadline, || memo, unique)
     }
 
     /// [`NavigatorService::whatif_until`] with the transposition table
@@ -227,7 +229,6 @@ impl NavigatorService<'_> {
         &self,
         req: &WhatIfRequest,
         deadline: Option<Instant>,
-        parallelism: usize,
         memo: impl FnOnce() -> Option<M>,
         unique: Option<&UniqueTable>,
     ) -> Result<WhatIfOutcome, ServiceError> {
@@ -247,8 +248,7 @@ impl NavigatorService<'_> {
             )));
         }
         if !unpaged_count {
-            let response =
-                self.run_until_memo(&merged, deadline, parallelism, memo().as_deref())?;
+            let response = self.run_until_memo(&merged, deadline, 1, memo().as_deref())?;
             return Ok(WhatIfOutcome {
                 response,
                 served: WhatIfServed::Explored,
@@ -269,8 +269,7 @@ impl NavigatorService<'_> {
             None => {
                 // Deadline expired mid-build: nothing partial is cached,
                 // and the ordinary explore path owns truncation semantics.
-                let response =
-                    self.run_until_memo(&merged, deadline, parallelism, memo().as_deref())?;
+                let response = self.run_until_memo(&merged, deadline, 1, memo().as_deref())?;
                 return Ok(WhatIfOutcome {
                     response,
                     served: WhatIfServed::Explored,

@@ -1,8 +1,7 @@
 //! Property-based equivalence tests for the transposition table: for
 //! every request shape the memoized engine must be *byte-identical* to
 //! the plain one — counts, collected paths, ranked costs, statistics,
-//! truncation flags — cold table, warm table, sequential or parallel,
-//! unpaged or page-at-a-time.
+//! truncation flags — cold table, warm table, unpaged or page-at-a-time.
 //!
 //! The table is an optimization with no license to approximate: a hit
 //! splices cached subtree results (counts, suffix sets, top-k summaries)
@@ -155,19 +154,18 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Unpaged equivalence: for every request shape, the memoized service
-    /// answer — cold table, then warm table, at any parallelism — is
-    /// byte-identical to the plain sequential answer. Errors agree too.
+    /// answer — cold table, then warm table — is byte-identical to the
+    /// plain answer. Errors agree too.
     #[test]
     fn memoized_service_is_byte_identical(
         req in arb_request(),
-        threads in 1usize..4,
     ) {
         let synth = SyntheticCatalog::generate(&SyntheticConfig::small());
         let service = small_service(&synth);
         let table = TranspositionTable::new(1 << 14);
-        let plain = service.run_until_with(&req, None, 1);
-        let cold = service.run_until_memo(&req, None, threads, Some(&table));
-        let warm = service.run_until_memo(&req, None, threads, Some(&table));
+        let plain = service.run_until(&req, None);
+        let cold = service.run_until_memo(&req, None, 1, Some(&table));
+        let warm = service.run_until_memo(&req, None, 1, Some(&table));
         match (plain, cold, warm) {
             (Ok(p), Ok(c), Ok(w)) => {
                 let p = normalized_json(&p);

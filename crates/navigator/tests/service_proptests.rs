@@ -102,33 +102,6 @@ fn arb_wire_request() -> impl Strategy<Value = ExplorationRequest> {
         })
 }
 
-/// Serializes a response with its `millis` timing metadata zeroed, so two
-/// responses can be compared byte-for-byte on their substantive content.
-fn normalized_json(resp: &ExplorationResponse) -> String {
-    fn zero_millis(value: &mut serde_json::Value) {
-        match value {
-            serde_json::Value::Object(pairs) => {
-                for (key, v) in pairs.iter_mut() {
-                    if key == "millis" {
-                        *v = serde_json::Value::Num(serde_json::Number::U(0));
-                    } else {
-                        zero_millis(v);
-                    }
-                }
-            }
-            serde_json::Value::Array(items) => {
-                for item in items.iter_mut() {
-                    zero_millis(item);
-                }
-            }
-            _ => {}
-        }
-    }
-    let mut value = serde_json::to_value(resp);
-    zero_millis(&mut value);
-    serde_json::to_string(&value).expect("values serialize")
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -200,34 +173,6 @@ proptest! {
                     "unexpected error {}",
                     msg
                 );
-            }
-        }
-    }
-
-    /// The parallel engine is *byte-identical* to the sequential one: for
-    /// every request shape — all output modes, goals, rankings, wait
-    /// policies — the serialized response (timing metadata aside) matches
-    /// exactly, float costs included. Errors must agree too.
-    #[test]
-    fn parallel_service_is_byte_identical_to_sequential(
-        req in arb_request(),
-        threads in 2usize..5,
-    ) {
-        let synth = SyntheticCatalog::generate(&SyntheticConfig::small());
-        let service = NavigatorService::new(&synth.catalog)
-            .with_degree(&synth.degree)
-            .with_offering_model(&synth.offering);
-        let sequential = service.run_until_with(&req, None, 1);
-        let parallel = service.run_until_with(&req, None, threads);
-        match (sequential, parallel) {
-            (Ok(seq), Ok(par)) => {
-                prop_assert_eq!(normalized_json(&seq), normalized_json(&par));
-            }
-            (Err(seq), Err(par)) => prop_assert_eq!(seq.to_string(), par.to_string()),
-            (seq, par) => {
-                return Err(TestCaseError::fail(format!(
-                    "sequential and parallel disagree on success: {seq:?} vs {par:?}"
-                )));
             }
         }
     }

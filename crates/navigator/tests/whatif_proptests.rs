@@ -1,8 +1,7 @@
 //! Equivalence suite for the what-if apply engine: a delta answered from
 //! the shared hash-consed path DAG must be byte-identical to brute-force
-//! re-exploration of the modified request — cold and warm, sequential
-//! and parallel. Timing metadata aside, shared structure may change
-//! latency, never bytes.
+//! re-exploration of the modified request — cold and warm. Timing
+//! metadata aside, shared structure may change latency, never bytes.
 
 use coursenav_catalog::{CourseCode, SyntheticCatalog, SyntheticConfig};
 use coursenav_navigator::{
@@ -179,10 +178,9 @@ proptest! {
     }
 
     /// Non-count outputs fall back to ordinary exploration of the merged
-    /// request, and the fallback is byte-identical sequential vs parallel
-    /// and against a direct run.
+    /// request, and the fallback is byte-identical to a direct run.
     #[test]
-    fn explored_fallback_is_byte_identical_across_parallelism(
+    fn explored_fallback_is_byte_identical_to_a_direct_run(
         base in arb_base(&synth()),
         delta in arb_delta(&synth()),
         limit in 1usize..20,
@@ -193,11 +191,8 @@ proptest! {
         base.output = OutputMode::Collect { limit };
         let req = WhatIfRequest { base, transcript: None, delta };
         let seq = service.whatif_until(&req, None, 1, None, None).unwrap();
-        let par = service.whatif_until(&req, None, 2, None, None).unwrap();
         prop_assert_eq!(seq.served, WhatIfServed::Explored);
-        prop_assert_eq!(par.served, WhatIfServed::Explored);
-        prop_assert_eq!(normalized_json(&seq.response), normalized_json(&par.response));
-        let direct = service.run_until_with(&req.merged_request(), None, 1).unwrap();
+        let direct = service.run_until(&req.merged_request(), None).unwrap();
         prop_assert_eq!(normalized_json(&seq.response), normalized_json(&direct));
     }
 

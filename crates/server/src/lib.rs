@@ -19,8 +19,8 @@
 //!    with 503 load-shedding, capped request bodies, byte-budgeted cache.
 //! 4. **One engine run per answer.** Concurrent duplicates of a cold
 //!    request coalesce onto a single computation ([`singleflight`]) on
-//!    every engine route; the engine itself can fan first-level subtrees
-//!    across cores (`parallelism`) without changing a byte of the answer.
+//!    every engine route, and that computation runs the engine's one
+//!    sequential path on one pool worker.
 //!
 //! **One request pipeline.** The private `routes` module holds the router
 //! and two drivers. A single buffered driver, generic over a small
@@ -157,10 +157,6 @@ pub struct ServerConfig {
     /// Wall-clock budget applied to explorations that do not carry their
     /// own `budget_ms`; `None` lets them run to completion.
     pub default_budget_ms: Option<u64>,
-    /// Engine worker threads per exploration: first-level subtrees are
-    /// dealt across this many scoped workers. `1` runs sequentially;
-    /// parallel answers are byte-identical to sequential ones.
-    pub parallelism: usize,
     /// Per-table cap on the cross-request transposition tables that let
     /// different requests over the same exploration tree share subtree
     /// work ([`memo::MemoRegistry`]). `0` disables memoization.
@@ -206,7 +202,6 @@ impl Default for ServerConfig {
             max_body_bytes: 1 << 20,
             keep_alive: Duration::from_secs(5),
             default_budget_ms: Some(10_000),
-            parallelism: 1,
             memo_entries: 1 << 16,
             dag_nodes: 1 << 20,
             session_capacity: 1024,
@@ -231,7 +226,6 @@ struct AppState {
     overload: Overload,
     snapshots: SnapshotState,
     default_budget_ms: Option<u64>,
-    parallelism: usize,
     #[cfg(feature = "chaos")]
     faults: Arc<faults::FaultPlan>,
 }
@@ -303,7 +297,6 @@ impl Server {
                 }),
             },
             default_budget_ms: config.default_budget_ms,
-            parallelism: config.parallelism.max(1),
             #[cfg(feature = "chaos")]
             faults: Arc::clone(&config.faults),
         });

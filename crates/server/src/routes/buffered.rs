@@ -339,12 +339,9 @@ impl Workload for ExplorationRequest {
     /// consults and warms it as it runs.
     fn compute(&self, engine: &Engine) -> Result<(String, bool), Response> {
         let table = engine.tenant.memo().table_for(&self.memo_key());
-        let response = engine.service.run_until_memo(
-            self,
-            engine.deadline,
-            engine.state.parallelism,
-            table.as_deref(),
-        )?;
+        let response = engine
+            .service
+            .run_until_memo(self, engine.deadline, 1, table.as_deref())?;
         if response.truncated() {
             bump(&engine.state.metrics.explore_truncated);
         }
@@ -420,13 +417,9 @@ fn advise(
     cursor: Option<&ExplorationCursor>,
 ) -> Result<AdviseOutcome, Response> {
     let table = engine.tenant.memo().table_for(&req.memo_key());
-    Ok(engine.service.advise_until_memo(
-        req,
-        cursor,
-        engine.deadline,
-        engine.state.parallelism,
-        table.as_deref(),
-    )?)
+    Ok(engine
+        .service
+        .advise_until_memo(req, cursor, engine.deadline, 1, table.as_deref())?)
 }
 
 impl Body for WhatIfRequest {
@@ -481,7 +474,6 @@ impl Workload for WhatIfRequest {
             .whatif_until_lazy(
                 self,
                 engine.deadline,
-                engine.state.parallelism,
                 || engine.tenant.memo().table_for(&self.memo_key()),
                 Some(&dag),
             )

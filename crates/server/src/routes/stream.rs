@@ -272,13 +272,7 @@ impl Streamed for BatchAdviseRequest {
                 .and_then(|()| {
                     engine
                         .service
-                        .advise_until_memo(
-                            &req,
-                            None,
-                            engine.deadline,
-                            state.parallelism,
-                            table.as_deref(),
-                        )
+                        .advise_until_memo(&req, None, engine.deadline, 1, table.as_deref())
                         .map_err(|e| engine_error_object(&e))
                 });
             let (key, value) = match answer {

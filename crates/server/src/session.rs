@@ -419,18 +419,14 @@ fn token_for(key: (u64, u64), id: u64) -> String {
     format!("{TOKEN_PREFIX}.{id:016x}.{mac:016x}")
 }
 
-/// Parses and authenticates a token; `Some(id)` only when the MAC
-/// verifies under `key`.
+/// Parses and authenticates a token; `Some(id)` only when `token` is
+/// exactly the string [`token_for`] mints for that id under `key`, so a
+/// token has one accepted spelling (`from_str_radix` alone would also
+/// take upper-case hex and a leading `+`).
 fn verify(key: (u64, u64), token: &str) -> Option<u64> {
     let rest = token.strip_prefix(TOKEN_PREFIX)?.strip_prefix('.')?;
-    let (id_hex, mac_hex) = rest.split_once('.')?;
-    if id_hex.len() != 16 || mac_hex.len() != 16 {
-        return None;
-    }
-    let id = u64::from_str_radix(id_hex, 16).ok()?;
-    let mac = u64::from_str_radix(mac_hex, 16).ok()?;
-    let expected = siphash24(key.0, key.1, &id.to_le_bytes());
-    (mac == expected).then_some(id)
+    let id = u64::from_str_radix(rest.get(..16)?, 16).ok()?;
+    (token == token_for(key, id)).then_some(id)
 }
 
 /// Process-level entropy for the signing key and id stream. The vendored
@@ -544,6 +540,7 @@ mod tests {
         let last = forged.pop().unwrap();
         forged.push(if last == '0' { '1' } else { '0' });
         assert_eq!(store.take(&forged), Err(SessionError::Invalid));
+        let upper = format!("cn1.{}", token["cn1.".len()..].to_uppercase());
         for junk in [
             "",
             "cn1",
@@ -551,6 +548,7 @@ mod tests {
             "cn1.zz.zz",
             "cn2.0.0",
             &token[..token.len() - 2],
+            &upper,
         ] {
             assert_eq!(store.take(junk), Err(SessionError::Invalid), "{junk:?}");
         }

@@ -31,6 +31,9 @@ enum Item {
     HugeBody,
     /// Chunked request bodies are unsupported (400, then close).
     Chunked,
+    /// Arbitrary bytes, sent verbatim: hostile input the machine must
+    /// handle identically however it is split.
+    Raw(Vec<u8>),
 }
 
 fn arb_item() -> impl Strategy<Value = Item> {
@@ -46,6 +49,7 @@ fn arb_item() -> impl Strategy<Value = Item> {
         1 => Just(Item::Garbage),
         1 => Just(Item::HugeBody),
         1 => Just(Item::Chunked),
+        1 => prop::collection::vec(any::<u8>(), 0..64).prop_map(Item::Raw),
     ]
 }
 
@@ -90,6 +94,7 @@ fn render(items: &[Item]) -> Vec<u8> {
             Item::Chunked => raw.extend_from_slice(
                 b"POST /v1/explore HTTP/1.1\r\nhost: p\r\ntransfer-encoding: chunked\r\n\r\n",
             ),
+            Item::Raw(bytes) => raw.extend_from_slice(bytes),
         }
     }
     raw

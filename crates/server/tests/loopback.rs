@@ -770,77 +770,6 @@ fn stampede(
     })
 }
 
-/// Replaces every `millis` field (timing metadata) with zero so response
-/// bodies can be compared for *semantic* byte-identity.
-fn zero_millis(value: &mut serde_json::Value) {
-    use serde_json::{Number, Value};
-    match value {
-        Value::Object(pairs) => {
-            for (key, v) in pairs.iter_mut() {
-                if key == "millis" {
-                    *v = Value::Num(Number::U(0));
-                } else {
-                    zero_millis(v);
-                }
-            }
-        }
-        Value::Array(items) => {
-            for item in items.iter_mut() {
-                zero_millis(item);
-            }
-        }
-        _ => {}
-    }
-}
-
-#[test]
-fn parallel_server_answers_are_byte_identical_to_sequential() {
-    let sequential = Server::start(ServerConfig::default(), brandeis_cs()).expect("start");
-    let parallel = Server::start(
-        ServerConfig {
-            parallelism: 4,
-            ..ServerConfig::default()
-        },
-        brandeis_cs(),
-    )
-    .expect("start");
-
-    let mut requests = vec![count_request()];
-    let mut collect = count_request();
-    collect.output = OutputMode::Collect { limit: 25 };
-    requests.push(collect);
-    for ranking in [
-        RankingSpec::Time,
-        RankingSpec::Weighted(vec![(1.0, RankingSpec::Time), (0.5, RankingSpec::Workload)]),
-    ] {
-        let mut topk = count_request();
-        topk.output = OutputMode::TopK { k: 10 };
-        topk.ranking = Some(ranking);
-        requests.push(topk);
-    }
-
-    for req in &requests {
-        let json = req.to_json().unwrap();
-        let seq = Client::connect(sequential.local_addr()).send("POST", "/v1/explore", Some(&json));
-        let par = Client::connect(parallel.local_addr()).send("POST", "/v1/explore", Some(&json));
-        assert_eq!(seq.status, 200, "{}", seq.body);
-        assert_eq!(par.status, 200, "{}", par.body);
-        let normalize = |body: &str| {
-            let mut value: serde_json::Value = serde_json::from_str(body).unwrap();
-            zero_millis(&mut value);
-            serde_json::to_string(&value).unwrap()
-        };
-        assert_eq!(
-            normalize(&seq.body),
-            normalize(&par.body),
-            "parallel and sequential engines must serialize identically for {json}"
-        );
-    }
-
-    sequential.shutdown();
-    parallel.shutdown();
-}
-
 #[test]
 fn responses_carry_the_api_version() {
     let server = start_default();

@@ -2,10 +2,9 @@
 //! constraints — "which options do I even have for the next few semesters
 //! if I avoid course X and keep my load under 25 hours?"
 //!
-//! Also demonstrates the scaling machinery: streaming counts, the
-//! memoized-DAG counter, and parallel counting for horizons where
-//! materializing the graph would exhaust memory (the paper's Table 2
-//! "N/A" regime).
+//! Also demonstrates the scaling machinery: streaming counts and the
+//! memoized-DAG counter for horizons where materializing the graph would
+//! exhaust memory (the paper's Table 2 "N/A" regime).
 //!
 //! ```text
 //! cargo run --release --example whatif_explorer
@@ -57,15 +56,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "  memoized-DAG count: {} paths across {} distinct states in {:?}",
         dedup.total_paths,
         explorer.distinct_states(),
-        t0.elapsed()
-    );
-
-    let t0 = Instant::now();
-    let short = Explorer::deadline_driven(&data.catalog, start, data.horizon.0 + 3, m)?;
-    let par = short.count_paths_parallel(4);
-    println!(
-        "\n4-semester parallel count (4 threads): {} paths in {:?}",
-        par.total_paths,
         t0.elapsed()
     );
     Ok(())

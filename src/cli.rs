@@ -52,7 +52,6 @@
 //!   --max-conns <n>              concurrent connection cap (default 10000;
 //!                                past it, new connections get a 503 and
 //!                                are closed)
-//!   --parallelism <n>            engine worker threads per exploration
 //!   --memo-entries <n>           per-table transposition cap (0 disables)
 //!   --dag-nodes <n>              per-tenant node budget for the what-if
 //!                                path-DAG table (oversized base DAGs
@@ -147,7 +146,6 @@ struct Flags {
     threads: Option<usize>,
     max_conns: Option<usize>,
     cache_mb: Option<usize>,
-    parallelism: Option<usize>,
     memo_entries: Option<usize>,
     dag_nodes: Option<usize>,
     catalog_dir: Option<String>,
@@ -187,7 +185,6 @@ fn parse_flags(args: &[String]) -> Result<Flags, CliError> {
         threads: None,
         max_conns: None,
         cache_mb: None,
-        parallelism: None,
         memo_entries: None,
         dag_nodes: None,
         catalog_dir: None,
@@ -298,13 +295,6 @@ fn parse_flags(args: &[String]) -> Result<Flags, CliError> {
                         .map_err(|_| CliError::Usage("--cache-mb needs an integer".into()))?,
                 )
             }
-            "--parallelism" => {
-                flags.parallelism = Some(
-                    value("--parallelism")?
-                        .parse()
-                        .map_err(|_| CliError::Usage("--parallelism needs an integer".into()))?,
-                )
-            }
             "--memo-entries" => {
                 flags.memo_entries = Some(
                     value("--memo-entries")?
@@ -392,7 +382,7 @@ fn load_catalog_dir(dir: &str) -> Result<Vec<(String, RegistrarData)>, CliError>
 }
 
 /// `coursenav <catalog> serve [--addr .. --threads .. --cache-mb ..
-/// --parallelism .. --memo-entries .. --catalog-dir ..]`:
+/// --memo-entries .. --catalog-dir ..]`:
 /// starts the HTTP serving layer over the loaded catalog and blocks until
 /// the process is killed. Prints the bound address first, so `--addr
 /// 127.0.0.1:0` (an ephemeral port) is usable in scripts. With
@@ -416,7 +406,6 @@ fn serve_command(data: RegistrarData, flags: &Flags) -> Result<String, CliError>
         // season rather than the worker count.
         max_connections: Some(flags.max_conns.unwrap_or(10_000)),
         cache_mb: flags.cache_mb.unwrap_or(64),
-        parallelism: flags.parallelism.unwrap_or(1),
         memo_entries: flags
             .memo_entries
             .unwrap_or(ServerConfig::default().memo_entries),
