@@ -40,7 +40,9 @@ use coursenav_catalog::{Catalog, CourseSet};
 
 use crate::path::LeafKind;
 use crate::stats::ExploreStats;
-use crate::unique::{DagNodeId, DagNodeKind, FoldCounts, FxMap, NodeView, UniqueTable};
+use crate::unique::{
+    terminal_id, Counts, DagNodeId, DagNodeKind, FxMap, NodeView, Tag, UniqueTable,
+};
 
 /// The selection-local constraint delta of a what-if: courses that may no
 /// longer be elected and/or a tightened per-semester workload cap. Applied
@@ -150,65 +152,6 @@ fn op_fingerprint(tag: u8, extra: u64) -> u64 {
     h.finish()
 }
 
-/// Compact per-node fold result: the two counts plus the four logical
-/// tree counters a fold can actually produce. The transposition-table
-/// counters of [`ExploreStats`] are zero on every interned node (see
-/// [`crate::unique::DagNode::stats`]) and a fold only merges node stats,
-/// so dropping them here loses nothing — and the whole accumulator packs
-/// into one cache line.
-#[derive(Clone, Copy)]
-struct FoldAcc {
-    paths: u128,
-    goal_paths: u128,
-    nodes_expanded: u64,
-    edges_created: u64,
-    pruned_time: u64,
-    pruned_availability: u64,
-}
-
-impl FoldAcc {
-    #[inline]
-    fn from_node(paths: u128, goal_paths: u128, stats: &ExploreStats) -> FoldAcc {
-        debug_assert_eq!(
-            (stats.memo_hits, stats.memo_misses, stats.memo_evictions),
-            (0, 0, 0),
-            "interned nodes carry logical stats with zero memo traffic"
-        );
-        FoldAcc {
-            paths,
-            goal_paths,
-            nodes_expanded: stats.nodes_expanded,
-            edges_created: stats.edges_created,
-            pruned_time: stats.pruned_time,
-            pruned_availability: stats.pruned_availability,
-        }
-    }
-
-    #[inline]
-    fn merge(&mut self, sub: &FoldAcc) {
-        self.paths += sub.paths;
-        self.goal_paths += sub.goal_paths;
-        self.nodes_expanded += sub.nodes_expanded;
-        self.edges_created += sub.edges_created;
-        self.pruned_time += sub.pruned_time;
-        self.pruned_availability += sub.pruned_availability;
-    }
-
-    fn into_counts(self) -> FoldCounts {
-        (
-            self.paths,
-            self.goal_paths,
-            ExploreStats {
-                nodes_expanded: self.nodes_expanded,
-                edges_created: self.edges_created,
-                pruned_time: self.pruned_time,
-                pruned_availability: self.pruned_availability,
-                ..ExploreStats::default()
-            },
-        )
-    }
-}
-
 const SLOT_WORDS: usize = 8;
 
 /// The largest memo buffer (in words) a thread keeps between folds:
@@ -219,12 +162,12 @@ const SLOT_WORDS: usize = 8;
 const RETAINED_WORDS: usize = 1 << 18;
 
 /// Dense id-indexed memo for the restriction fold: one cache line (eight
-/// words: paths, goal paths, four counters) per visible id, probed with a
-/// single random access. The fold touches a large fraction of the table,
-/// so a flat probe beats both hashing a key per node and a two-level
-/// slot→result indirection. An all-zero line means "unvisited": no fold
-/// result is all-zero except the empty path set's, which is trivial to
-/// recompute on every probe.
+/// words: the [`Counts`] of a subtree — paths, goal paths, four counters)
+/// per visible id, probed with a single random access. The fold touches a
+/// large fraction of the table, so a flat probe beats both hashing a key
+/// per node and a two-level slot→result indirection. An all-zero line
+/// means "unvisited": no fold result is all-zero except the empty path
+/// set's, which is trivial to recompute on every probe.
 ///
 /// A zeroed table-sized buffer per fold is not free: zeroing 1.2 MB
 /// (about 19k ids) costs tens of microseconds, and once the allocator
@@ -264,13 +207,13 @@ impl FoldMemo {
     }
 
     #[inline]
-    fn get(&self, id: DagNodeId) -> Option<FoldAcc> {
+    fn get(&self, id: DagNodeId) -> Option<Counts> {
         let at = id.raw() * SLOT_WORDS;
         let w: &[u64; SLOT_WORDS] = self.words[at..at + SLOT_WORDS].try_into().unwrap();
         if w.iter().all(|&x| x == 0) {
             return None;
         }
-        Some(FoldAcc {
+        Some(Counts {
             paths: u128::from(w[0]) | (u128::from(w[1]) << 64),
             goal_paths: u128::from(w[2]) | (u128::from(w[3]) << 64),
             nodes_expanded: w[4],
@@ -281,7 +224,7 @@ impl FoldMemo {
     }
 
     #[inline]
-    fn put(&mut self, id: DagNodeId, acc: &FoldAcc) {
+    fn put(&mut self, id: DagNodeId, acc: &Counts) {
         let at = id.raw() * SLOT_WORDS;
         let w: &mut [u64; SLOT_WORDS] = (&mut self.words[at..at + SLOT_WORDS]).try_into().unwrap();
         self.touched.push(id);
@@ -299,7 +242,7 @@ impl FoldMemo {
 impl UniqueTable {
     /// Interns the (shared) empty path set.
     fn empty(&self) -> DagNodeId {
-        self.intern(0, CourseSet::EMPTY, DagNodeKind::Empty, Vec::new())
+        self.intern(0, CourseSet::EMPTY, DagNodeKind::Empty, None)
     }
 
     /// "Add constraint X" / "drop course Y": the sub-DAG of `root` whose
@@ -332,8 +275,8 @@ impl UniqueTable {
         if let Some(&out) = local.get(&id) {
             return out;
         }
-        let node = self.node(id);
-        if restriction.cannot_touch(&node.support, node.max_load) {
+        let rec = self.with_node(id, |node| *node.rec);
+        if restriction.cannot_touch(&rec.support, rec.max_load) {
             // The restriction vetoes nothing anywhere below, so a
             // cons-aware rebuild would re-derive this exact node.
             local.insert(id, id);
@@ -344,50 +287,52 @@ impl UniqueTable {
             local.insert(id, out);
             return out;
         }
-        let out = match &node.kind {
-            DagNodeKind::Leaf(_) | DagNodeKind::Pruned(_) | DagNodeKind::Empty => id,
-            DagNodeKind::Interior {
-                edges,
-                floor_skipped,
-            } => {
-                let mut new_edges: Vec<(CourseSet, DagNodeId)> = Vec::with_capacity(edges.len());
-                let mut loads: Vec<f64> = Vec::with_capacity(edges.len());
-                let exact = node.loads.len() == edges.len();
-                for (i, (selection, child)) in edges.iter().enumerate() {
-                    let load = if exact {
-                        node.loads[i]
-                    } else {
-                        Restriction::load(catalog, selection)
-                    };
-                    if !restriction.allows_load(selection, load) {
-                        continue;
-                    }
-                    let child = self.restrict_node(*child, catalog, restriction, op, local);
-                    new_edges.push((*selection, child));
-                    loads.push(load);
-                }
-                if new_edges.is_empty() && *floor_skipped == 0 {
+        let out = match rec.tag {
+            Tag::Leaf(_) | Tag::Pruned(_) | Tag::Empty => id,
+            Tag::Interior => {
+                // The surviving edges are copied out of the arena: the walk
+                // interns below, so it must not hold the shard lock.
+                let (kept, all) = self.with_node(id, |node| {
+                    let kept: Vec<(CourseSet, DagNodeId)> = node
+                        .edges()
+                        .iter()
+                        .map(|&(sel, child)| (node.selection(sel), child))
+                        .filter(|(selection, _)| {
+                            restriction.allows_load(&selection.set, selection.load(catalog))
+                        })
+                        .map(|(selection, child)| (selection.set, child))
+                        .collect();
+                    (kept, node.edges().len())
+                });
+                let new_edges: Vec<(CourseSet, DagNodeId)> = kept
+                    .iter()
+                    .map(|&(selection, child)| {
+                        (
+                            selection,
+                            self.restrict_node(child, catalog, restriction, op, local),
+                        )
+                    })
+                    .collect();
+                if new_edges.is_empty() && rec.floor_skipped == 0 {
                     // Exactly the builder's dead-end reclassification: all
                     // selections vetoed, nothing floor-skipped.
                     self.intern(
-                        node.semester,
-                        node.completed,
+                        rec.semester,
+                        rec.completed,
                         DagNodeKind::Leaf(LeafKind::DeadEnd),
-                        Vec::new(),
+                        None,
                     )
-                } else if new_edges.len() == edges.len()
-                    && new_edges.iter().zip(edges.iter()).all(|(a, b)| a == b)
-                {
+                } else if kept.len() == all && new_edges == kept {
                     id
                 } else {
                     self.intern(
-                        node.semester,
-                        node.completed,
+                        rec.semester,
+                        rec.completed,
                         DagNodeKind::Interior {
                             edges: new_edges,
-                            floor_skipped: *floor_skipped,
+                            floor_skipped: rec.floor_skipped,
                         },
-                        loads,
+                        Some(catalog),
                     )
                 }
             }
@@ -414,12 +359,11 @@ impl UniqueTable {
         if remaining.is_empty() {
             return root;
         }
-        let node = self.node(root);
-        match &node.kind {
+        match self.with_node(root, |node| node.rec.tag) {
             // A path already over without the forced courses: no path.
-            DagNodeKind::Leaf(_) => self.empty(),
-            DagNodeKind::Pruned(_) | DagNodeKind::Empty => root,
-            DagNodeKind::Interior { .. } => {
+            Tag::Leaf(_) => self.empty(),
+            Tag::Pruned(_) | Tag::Empty => root,
+            Tag::Interior => {
                 let mut h = DefaultHasher::new();
                 want.hash(&mut h);
                 let op = op_fingerprint(0x54, h.finish()); // 'T'
@@ -449,68 +393,53 @@ impl UniqueTable {
             local.insert(id, out);
             return out;
         }
-        let node = self.node(id);
-        let remaining = want.difference(&node.completed);
-        let DagNodeKind::Interior {
-            edges,
-            floor_skipped,
-        } = &node.kind
-        else {
-            unreachable!("through_node walks interior nodes only");
-        };
-        let out = if !remaining.is_subset(&node.support) {
+        // Copied out of the arena: the walk interns below.
+        let (rec, edges) = self.with_node(id, |node| (*node.rec, node.edge_list()));
+        assert_eq!(
+            rec.tag,
+            Tag::Interior,
+            "through_node walks interior nodes only"
+        );
+        let remaining = want.difference(&rec.completed);
+        let out = if !remaining.is_subset(&rec.support) {
             // Some outstanding course is not electable anywhere below:
             // nothing here can complete the forced set.
             self.empty()
         } else {
             let mut new_edges: Vec<(CourseSet, DagNodeId)> = Vec::with_capacity(edges.len());
-            let mut loads: Vec<f64> = Vec::with_capacity(edges.len());
-            let exact = node.loads.len() == edges.len();
-            for (i, (selection, child)) in edges.iter().enumerate() {
-                let child_remaining = remaining.difference(selection);
+            for &(selection, child) in &edges {
+                let child_remaining = remaining.difference(&selection);
                 let kept = if child_remaining.is_empty() {
                     // Every path through this edge completes the forced
                     // set; the subtree is kept untouched.
-                    Some(*child)
+                    Some(child)
                 } else {
-                    match &self.node(*child).kind {
-                        DagNodeKind::Leaf(_) => None,
-                        DagNodeKind::Pruned(_) => Some(*child),
-                        DagNodeKind::Empty => None,
-                        DagNodeKind::Interior { .. } => {
-                            let out = self.through_node(*child, catalog, want, op, local);
-                            if self.node(out).kind == DagNodeKind::Empty {
-                                None
-                            } else {
-                                Some(out)
-                            }
+                    match self.with_node(child, |node| node.rec.tag) {
+                        Tag::Leaf(_) | Tag::Empty => None,
+                        Tag::Pruned(_) => Some(child),
+                        Tag::Interior => {
+                            let out = self.through_node(child, catalog, want, op, local);
+                            (out != terminal_id(Tag::Empty)).then_some(out)
                         }
                     }
                 };
                 if let Some(child) = kept {
-                    new_edges.push((*selection, child));
-                    loads.push(if exact {
-                        node.loads[i]
-                    } else {
-                        Restriction::load(catalog, selection)
-                    });
+                    new_edges.push((selection, child));
                 }
             }
             if new_edges.is_empty() {
                 self.empty()
-            } else if new_edges.len() == edges.len()
-                && new_edges.iter().zip(edges.iter()).all(|(a, b)| a == b)
-            {
+            } else if new_edges == edges {
                 id
             } else {
                 self.intern(
-                    node.semester,
-                    node.completed,
+                    rec.semester,
+                    rec.completed,
                     DagNodeKind::Interior {
                         edges: new_edges,
-                        floor_skipped: *floor_skipped,
+                        floor_skipped: rec.floor_skipped,
                     },
-                    loads,
+                    Some(catalog),
                 )
             }
         };
@@ -537,8 +466,7 @@ impl UniqueTable {
     ) -> (u128, u128, ExploreStats) {
         let remaining = force.difference(completed_at_root);
         if restriction.is_empty() && remaining.is_empty() {
-            let node = self.node(root);
-            return (node.paths, node.goal_paths, node.stats);
+            return self.with_node(root, |node| node.rec.counts.into_fold());
         }
         let mut h = DefaultHasher::new();
         restriction.avoid.hash(&mut h);
@@ -549,216 +477,36 @@ impl UniqueTable {
         if let Some(counts) = self.fold_get(&key) {
             return counts;
         }
-        // The fold never interns, so it reads through a whole-table view:
-        // one lock acquisition per shard instead of one per node visit.
-        let view = self.view();
-        let out = FoldMemo::with(view.id_bound(), |memo| {
-            if remaining.is_empty() {
-                self.fold_restrict(&view, root, catalog, restriction, memo)
-                    .into_counts()
-            } else {
-                let mut forced: FxMap<(DagNodeId, CourseSet), Option<FoldAcc>> = FxMap::default();
-                self.fold_forced(
-                    &view,
-                    root,
-                    remaining,
-                    catalog,
-                    restriction,
-                    &mut forced,
-                    memo,
-                )
-                .map_or((0, 0, ExploreStats::default()), FoldAcc::into_counts)
-            }
-        });
-        drop(view);
+        let out = self.whatif_counts_uncached(root, catalog, restriction, force, completed_at_root);
         self.fold_put(key, out);
         out
     }
 
-    /// The restriction-only counting fold — exactly `restrict`'s node
-    /// summaries, never materialized. Total (every subtree keeps *some*
-    /// answer, possibly a reclassified dead end), so the memo is keyed by
-    /// node id alone. Untouched subtrees answer from their stored
-    /// summaries before even probing the memo.
-    fn fold_restrict(
+    /// [`UniqueTable::whatif_counts`] without the fold cache: every call
+    /// walks the delta-affected frontier (what the `whatif_fold` bench
+    /// times).
+    pub fn whatif_counts_uncached(
         &self,
-        view: &NodeView<'_>,
-        id: DagNodeId,
+        root: DagNodeId,
         catalog: &Catalog,
         restriction: &Restriction,
-        memo: &mut FoldMemo,
-    ) -> FoldAcc {
-        // Probe the dense memo before touching the node: most edges point
-        // at already-folded children, and the probe is one flat array read
-        // against the node fetch's pointer chase.
-        if let Some(out) = memo.get(id) {
-            return out;
-        }
-        let node = view.node(id);
-        if restriction.cannot_touch(&node.support, node.max_load) {
-            // Nothing vetoable below: the subtree survives verbatim, and
-            // its stored summaries are the answer. Memoized too, so the
-            // proof is paid once per node, not once per incoming edge.
-            let out = FoldAcc::from_node(node.paths, node.goal_paths, &node.stats);
-            memo.put(id, &out);
-            return out;
-        }
-        let out = match &node.kind {
-            DagNodeKind::Leaf(_) => FoldAcc::from_node(node.paths, node.goal_paths, &node.stats),
-            DagNodeKind::Pruned(_) | DagNodeKind::Empty => FoldAcc::from_node(0, 0, &node.stats),
-            DagNodeKind::Interior {
-                edges,
-                floor_skipped,
-            } => {
-                let mut survivors = 0u64;
-                let mut acc = FoldAcc {
-                    paths: 0,
-                    goal_paths: 0,
-                    nodes_expanded: 1,
-                    edges_created: 0,
-                    pruned_time: *floor_skipped,
-                    pruned_availability: 0,
-                };
-                let exact = node.loads.len() == edges.len();
-                for (i, (selection, child)) in edges.iter().enumerate() {
-                    if !selection.is_disjoint(&restriction.avoid) {
-                        continue;
-                    }
-                    if let Some(cap) = restriction.max_workload {
-                        let load = if exact {
-                            node.loads[i]
-                        } else {
-                            Restriction::load(catalog, selection)
-                        };
-                        if load > cap {
-                            continue;
-                        }
-                    }
-                    survivors += 1;
-                    // Probe inline before recursing: the common case is an
-                    // already-folded child, answered by one array read
-                    // with no call and no node fetch.
-                    let sub = match memo.get(*child) {
-                        Some(sub) => sub,
-                        None => self.fold_restrict(view, *child, catalog, restriction, memo),
-                    };
-                    acc.edges_created += 1;
-                    acc.merge(&sub);
-                }
-                if survivors == 0 && *floor_skipped == 0 {
-                    // restrict's dead-end reclassification: every selection
-                    // vetoed, nothing floor-skipped — a DeadEnd leaf, one
-                    // non-goal path.
-                    FoldAcc::from_node(1, 0, &ExploreStats::default())
-                } else {
-                    acc
-                }
+        force: &CourseSet,
+        completed_at_root: &CourseSet,
+    ) -> (u128, u128, ExploreStats) {
+        let remaining = force.difference(completed_at_root);
+        // The fold never interns, so it reads through a whole-table view:
+        // one lock acquisition per shard instead of one per node visit.
+        let view = self.view();
+        FoldMemo::with(view.id_bound(), |memo| {
+            if remaining.is_empty() {
+                view.fold_restrict(root, catalog, restriction, memo)
+                    .into_fold()
+            } else {
+                let mut forced = FxMap::default();
+                view.fold_forced(root, remaining, catalog, restriction, &mut forced, memo)
+                    .map_or((0, 0, ExploreStats::default()), Counts::into_fold)
             }
-        };
-        memo.put(id, &out);
-        out
-    }
-
-    /// The general counting fold with forced courses still outstanding.
-    /// `None` means "this subtree keeps no path" — the edge into it is
-    /// dropped, exactly as `through` drops edges to emptied children (and
-    /// contributes nothing to statistics). Branches whose outstanding set
-    /// empties delegate to the cheaper [`UniqueTable::fold_restrict`].
-    /// Invariant: `remaining` is nonempty here.
-    #[allow(clippy::too_many_arguments)]
-    fn fold_forced(
-        &self,
-        view: &NodeView<'_>,
-        id: DagNodeId,
-        remaining: CourseSet,
-        catalog: &Catalog,
-        restriction: &Restriction,
-        forced: &mut FxMap<(DagNodeId, CourseSet), Option<FoldAcc>>,
-        memo: &mut FoldMemo,
-    ) -> Option<FoldAcc> {
-        if let Some(out) = forced.get(&(id, remaining)) {
-            return *out;
-        }
-        let node = view.node(id);
-        let out = match &node.kind {
-            // The path ends without the forced courses: dropped.
-            DagNodeKind::Leaf(_) => None,
-            // Pruned skeletons are kept by restrict and through alike.
-            DagNodeKind::Pruned(_) => Some(FoldAcc::from_node(0, 0, &node.stats)),
-            DagNodeKind::Empty => None,
-            DagNodeKind::Interior {
-                edges,
-                floor_skipped,
-            } => {
-                if !remaining.is_subset(&node.support) {
-                    // Some forced course is not electable below: `through`
-                    // would empty this subtree, so the edge drops.
-                    None
-                } else {
-                    let mut survivors = 0u64;
-                    let mut kept = 0u64;
-                    let mut acc = FoldAcc {
-                        paths: 0,
-                        goal_paths: 0,
-                        nodes_expanded: 1,
-                        edges_created: 0,
-                        pruned_time: *floor_skipped,
-                        pruned_availability: 0,
-                    };
-                    let exact = node.loads.len() == edges.len();
-                    for (i, (selection, child)) in edges.iter().enumerate() {
-                        if !selection.is_disjoint(&restriction.avoid) {
-                            continue;
-                        }
-                        if let Some(cap) = restriction.max_workload {
-                            let load = if exact {
-                                node.loads[i]
-                            } else {
-                                Restriction::load(catalog, selection)
-                            };
-                            if load > cap {
-                                continue;
-                            }
-                        }
-                        survivors += 1;
-                        let child_remaining = remaining.difference(selection);
-                        let sub = if child_remaining.is_empty() {
-                            Some(match memo.get(*child) {
-                                Some(sub) => sub,
-                                None => {
-                                    self.fold_restrict(view, *child, catalog, restriction, memo)
-                                }
-                            })
-                        } else {
-                            self.fold_forced(
-                                view,
-                                *child,
-                                child_remaining,
-                                catalog,
-                                restriction,
-                                forced,
-                                memo,
-                            )
-                        };
-                        if let Some(sub) = sub {
-                            kept += 1;
-                            acc.edges_created += 1;
-                            acc.merge(&sub);
-                        }
-                    }
-                    // With forced courses outstanding, a subtree with no
-                    // surviving edge (dead end or skeleton) keeps no path,
-                    // and neither does one whose every child dropped.
-                    if survivors == 0 || kept == 0 {
-                        None
-                    } else {
-                        Some(acc)
-                    }
-                }
-            }
-        };
-        forced.insert((id, remaining), out);
-        out
+        })
     }
 
     /// Set algebra over two DAGs anchored at the same state: the coupled
@@ -773,13 +521,14 @@ impl UniqueTable {
         a: DagNodeId,
         b: DagNodeId,
     ) -> Result<DagNodeId, ApplyError> {
-        let (na, nb) = (self.node(a), self.node(b));
+        let ra = self.with_node(a, |node| *node.rec);
+        let rb = self.with_node(b, |node| *node.rec);
         // Terminal nodes are anchor-free (shared across states), so only
         // two interiors can — and must — prove a common frame.
-        if let (DagNodeKind::Interior { .. }, DagNodeKind::Interior { .. }) = (&na.kind, &nb.kind) {
-            if na.semester != nb.semester || na.completed != nb.completed {
-                return Err(ApplyError::AnchorMismatch);
-            }
+        if (ra.tag, rb.tag) == (Tag::Interior, Tag::Interior)
+            && (ra.semester != rb.semester || ra.completed != rb.completed)
+        {
+            return Err(ApplyError::AnchorMismatch);
         }
         let tag = match op {
             SetOp::Intersect => 0x49, // 'I'
@@ -813,21 +562,22 @@ impl UniqueTable {
             local.insert((a, b), out);
             return Ok(out);
         }
-        let na = self.node(a);
-        let nb = self.node(b);
-        let out = if na.is_zero() {
+        let ra = self.with_node(a, |node| *node.rec);
+        let rb = self.with_node(b, |node| *node.rec);
+        let is_zero = |tag: Tag| matches!(tag, Tag::Pruned(_) | Tag::Empty);
+        let out = if is_zero(ra.tag) {
             match op {
                 SetOp::Intersect | SetOp::Diff => self.empty(),
                 SetOp::Union => b,
             }
-        } else if nb.is_zero() {
+        } else if is_zero(rb.tag) {
             match op {
                 SetOp::Intersect => self.empty(),
                 SetOp::Union | SetOp::Diff => a,
             }
         } else {
-            match (&na.kind, &nb.kind) {
-                (DagNodeKind::Leaf(ka), DagNodeKind::Leaf(kb)) => {
+            match (ra.tag, rb.tag) {
+                (Tag::Leaf(ka), Tag::Leaf(kb)) => {
                     // Same kind would have hash-consed to a == b above, so
                     // the kinds differ here: the frames classify this path
                     // differently.
@@ -841,8 +591,7 @@ impl UniqueTable {
                         }
                     }
                 }
-                (DagNodeKind::Leaf(_), DagNodeKind::Interior { .. })
-                | (DagNodeKind::Interior { .. }, DagNodeKind::Leaf(_)) => match op {
+                (Tag::Leaf(_), Tag::Interior) | (Tag::Interior, Tag::Leaf(_)) => match op {
                     // A leaf's path ends here; interior paths continue —
                     // disjoint sets.
                     SetOp::Intersect => self.empty(),
@@ -853,52 +602,47 @@ impl UniqueTable {
                         ))
                     }
                 },
-                (
-                    DagNodeKind::Interior {
-                        edges: ea,
-                        floor_skipped,
-                    },
-                    DagNodeKind::Interior { edges: eb, .. },
-                ) => {
+                (Tag::Interior, Tag::Interior) => {
+                    // Copied out of the arena: the walk interns below.
+                    let ea = self.with_node(a, |node| node.edge_list());
+                    let eb = self.with_node(b, |node| node.edge_list());
                     let b_children: HashMap<CourseSet, DagNodeId> = eb.iter().copied().collect();
                     let mut new_edges: Vec<(CourseSet, DagNodeId)> = Vec::new();
-                    for (selection, ca) in ea {
-                        match (op, b_children.get(selection)) {
+                    for &(selection, ca) in &ea {
+                        match (op, b_children.get(&selection)) {
                             (_, Some(&cb)) => {
-                                let child = self.set_node(op, fp, *ca, cb, local)?;
-                                new_edges.push((*selection, child));
+                                let child = self.set_node(op, fp, ca, cb, local)?;
+                                new_edges.push((selection, child));
                             }
                             (SetOp::Intersect, None) => {}
-                            (SetOp::Union | SetOp::Diff, None) => new_edges.push((*selection, *ca)),
+                            (SetOp::Union | SetOp::Diff, None) => new_edges.push((selection, ca)),
                         }
                     }
                     if op == SetOp::Union {
                         let a_selections: HashMap<CourseSet, ()> =
                             ea.iter().map(|(s, _)| (*s, ())).collect();
                         for (selection, cb) in eb {
-                            if !a_selections.contains_key(selection) {
-                                new_edges.push((*selection, *cb));
+                            if !a_selections.contains_key(&selection) {
+                                new_edges.push((selection, cb));
                             }
                         }
                     }
                     if new_edges.is_empty() {
                         self.empty()
-                    } else if new_edges.len() == ea.len()
-                        && new_edges.iter().zip(ea.iter()).all(|(x, y)| x == y)
-                    {
+                    } else if new_edges == ea {
                         a
                     } else {
-                        // No catalog in scope here, so the per-edge loads
-                        // are unknown: empty vector ⇒ the node's workload
-                        // bound degrades to the conservative ∞.
+                        // No catalog in scope here, so the selections are
+                        // unpriced: the node's workload bound degrades to
+                        // the conservative ∞.
                         self.intern(
-                            na.semester,
-                            na.completed,
+                            ra.semester,
+                            ra.completed,
                             DagNodeKind::Interior {
                                 edges: new_edges,
-                                floor_skipped: *floor_skipped,
+                                floor_skipped: ra.floor_skipped,
                             },
-                            Vec::new(),
+                            None,
                         )
                     }
                 }
@@ -909,6 +653,164 @@ impl UniqueTable {
         self.apply_put(key, out);
         local.insert((a, b), out);
         Ok(out)
+    }
+}
+
+/// The counting folds read the arena in place through a whole-table view.
+impl NodeView<'_> {
+    /// The restriction-only counting fold — exactly `restrict`'s node
+    /// summaries, never materialized. Total (every subtree keeps *some*
+    /// answer, possibly a reclassified dead end), so the memo is keyed by
+    /// node id alone. Untouched subtrees answer from their stored
+    /// summaries before even probing the memo.
+    fn fold_restrict(
+        &self,
+        id: DagNodeId,
+        catalog: &Catalog,
+        restriction: &Restriction,
+        memo: &mut FoldMemo,
+    ) -> Counts {
+        // Probe the dense memo before touching the node: most edges point
+        // at already-folded children, and the probe is one flat array read
+        // against the node record fetch.
+        if let Some(out) = memo.get(id) {
+            return out;
+        }
+        let node = self.node(id);
+        let rec = node.rec;
+        if restriction.cannot_touch(&rec.support, rec.max_load) {
+            // Nothing vetoable below: the subtree survives verbatim, and
+            // its stored summaries are the answer. Memoized too, so the
+            // proof is paid once per node, not once per incoming edge.
+            memo.put(id, &rec.counts);
+            return rec.counts;
+        }
+        let out = match rec.tag {
+            // Terminal summaries are the answer (zero paths on pruned and
+            // empty nodes).
+            Tag::Leaf(_) | Tag::Pruned(_) | Tag::Empty => rec.counts,
+            Tag::Interior => {
+                let mut survivors = 0u64;
+                let mut acc = Counts {
+                    nodes_expanded: 1,
+                    pruned_time: rec.floor_skipped,
+                    ..Counts::default()
+                };
+                // Each edge is an 8-byte `(selection id, child)` pair; the
+                // selection and its load come from the shard's pool.
+                for &(sel, child) in node.edges() {
+                    let selection = node.selection(sel);
+                    if !selection.set.is_disjoint(&restriction.avoid) {
+                        continue;
+                    }
+                    if let Some(cap) = restriction.max_workload {
+                        if selection.load(catalog) > cap {
+                            continue;
+                        }
+                    }
+                    survivors += 1;
+                    // Probe inline before recursing: the common case is an
+                    // already-folded child, answered by one array read
+                    // with no call and no node fetch.
+                    let sub = match memo.get(child) {
+                        Some(sub) => sub,
+                        None => self.fold_restrict(child, catalog, restriction, memo),
+                    };
+                    acc.edges_created += 1;
+                    acc.merge(&sub);
+                }
+                if survivors == 0 && rec.floor_skipped == 0 {
+                    // restrict's dead-end reclassification: every selection
+                    // vetoed, nothing floor-skipped — a DeadEnd leaf, one
+                    // non-goal path.
+                    Counts {
+                        paths: 1,
+                        ..Counts::default()
+                    }
+                } else {
+                    acc
+                }
+            }
+        };
+        memo.put(id, &out);
+        out
+    }
+
+    /// The general counting fold with forced courses still outstanding.
+    /// `None` means "this subtree keeps no path" — the edge into it is
+    /// dropped, exactly as `through` drops edges to emptied children (and
+    /// contributes nothing to statistics). Branches whose outstanding set
+    /// empties delegate to the cheaper [`NodeView::fold_restrict`].
+    /// Invariant: `remaining` is nonempty here.
+    fn fold_forced(
+        &self,
+        id: DagNodeId,
+        remaining: CourseSet,
+        catalog: &Catalog,
+        restriction: &Restriction,
+        forced: &mut FxMap<(DagNodeId, CourseSet), Option<Counts>>,
+        memo: &mut FoldMemo,
+    ) -> Option<Counts> {
+        if let Some(out) = forced.get(&(id, remaining)) {
+            return *out;
+        }
+        let node = self.node(id);
+        let rec = node.rec;
+        let out = match rec.tag {
+            // The path ends without the forced courses: dropped.
+            Tag::Leaf(_) => None,
+            // Pruned skeletons are kept by restrict and through alike.
+            Tag::Pruned(_) => Some(rec.counts),
+            Tag::Empty => None,
+            // Some forced course is not electable below: `through` would
+            // empty this subtree, so the edge drops.
+            Tag::Interior if !remaining.is_subset(&rec.support) => None,
+            Tag::Interior => {
+                let mut survivors = 0u64;
+                let mut kept = 0u64;
+                let mut acc = Counts {
+                    nodes_expanded: 1,
+                    pruned_time: rec.floor_skipped,
+                    ..Counts::default()
+                };
+                for &(sel, child) in node.edges() {
+                    let selection = node.selection(sel);
+                    if !selection.set.is_disjoint(&restriction.avoid) {
+                        continue;
+                    }
+                    if let Some(cap) = restriction.max_workload {
+                        if selection.load(catalog) > cap {
+                            continue;
+                        }
+                    }
+                    survivors += 1;
+                    let child_remaining = remaining.difference(&selection.set);
+                    let sub = if child_remaining.is_empty() {
+                        Some(match memo.get(child) {
+                            Some(sub) => sub,
+                            None => self.fold_restrict(child, catalog, restriction, memo),
+                        })
+                    } else {
+                        self.fold_forced(child, child_remaining, catalog, restriction, forced, memo)
+                    };
+                    if let Some(sub) = sub {
+                        kept += 1;
+                        acc.edges_created += 1;
+                        acc.merge(&sub);
+                    }
+                }
+                // With forced courses outstanding, a subtree with no
+                // surviving edge (dead end or skeleton) keeps no path,
+                // and neither does one whose every child dropped.
+                if survivors == 0 || kept == 0 {
+                    None
+                } else {
+                    Some(acc)
+                }
+            }
+        };
+        forced.insert((id, remaining), out);
+        out
     }
 }
 

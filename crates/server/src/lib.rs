@@ -164,7 +164,9 @@ pub struct ServerConfig {
     /// Per-tenant node cap on the hash-consed path-DAG table that
     /// `/v1/whatif` builds base explorations into. A base DAG that would
     /// outgrow it answers a typed, retryable `413 state-budget` and the
-    /// saturated table is retired for a fresh one. `0` removes the cap.
+    /// saturated table is retired for a fresh one. The same number bounds
+    /// the table's cache of whole what-if answers, which is cleared
+    /// wholesale when full. `0` removes both caps.
     pub dag_nodes: usize,
     /// Live resumable sessions kept at once; beyond it, the least
     /// recently minted cursor is evicted (its token answers 410).

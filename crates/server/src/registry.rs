@@ -875,11 +875,16 @@ mod tests {
         let r = registry(8);
         let t = r.get(DEFAULT_TENANT).unwrap();
         let table = t.dag().table();
+        // An interior node (the shared terminals are pre-interned, so
+        // interning one of them creates nothing).
         table.intern(
             1,
             coursenav_catalog::CourseSet::new(),
-            coursenav_navigator::DagNodeKind::Empty,
-            Vec::new(),
+            coursenav_navigator::DagNodeKind::Interior {
+                edges: Vec::new(),
+                floor_skipped: 1,
+            },
+            None,
         );
         let live = t.dag().snapshot();
         assert_eq!(live.nodes, 1);
